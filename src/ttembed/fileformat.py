@@ -14,9 +14,10 @@ TTE1 (tensorized embedding, version 1), all little-endian:
 DMAT is a bare dense matrix: b"DMAT", dtype u8, rows u64, cols u64,
 row-major float64 payload.
 
-Loading validates every structural invariant (magic, dtype, rank chain,
-boundary/closure ranks, exact payload length, finiteness) before
-constructing anything; each corruption class gets its own message.
+Loading checks magic, dtype, rank chain, boundary/closure ranks and the
+exact payload length before reading any core, each with its own message;
+plan and finiteness violations found while building the model are
+reported as FileFormatError too.
 """
 
 from __future__ import annotations
@@ -49,12 +50,9 @@ def _take(buf: bytes, offset: int, size: int, what: str):
 
 def save_tt(path, m) -> None:
     """Write a TTMatrix (kind 0) or TRMatrix (kind 1) losslessly."""
-    if isinstance(m, TTMatrix):
-        kind = 0
-    elif isinstance(m, TRMatrix):
-        kind = 1
-    else:
+    if not isinstance(m, TTMatrix):
         raise TypeError("expected TTMatrix or TRMatrix")
+    kind = int(isinstance(m, TRMatrix))  # TRMatrix subclasses TTMatrix
     parts = [TT_MAGIC, struct.pack("<BBH", kind, DTYPE_FLOAT64, len(m.cores))]
     for c in m.cores:
         parts.append(struct.pack("<4I", *c.shape))
@@ -107,22 +105,21 @@ def load_tt(path):
         size = d[0] * d[1] * d[2] * d[3] * 8
         raw, off = _take(buf, off, size, "core payload")
         cores.append(np.frombuffer(raw, dtype="<f8").reshape(d).copy())
-    for k, c in enumerate(cores):
-        if not np.all(np.isfinite(c)):
-            raise FileFormatError(f"core {k} contains non-finite values")
     row_factors = tuple(d[1] for d in dims)
     col_factors = tuple(d[2] for d in dims)
     padded = int(np.prod(row_factors, dtype=np.int64))
     if not 1 <= vocab <= padded:
         raise FileFormatError(f"vocab {vocab} outside [1, {padded}]")
-    plan = FactorizationPlan(
-        row_factors=row_factors,
-        col_factors=col_factors,
-        requested_rows=int(vocab),
-        ranks=tuple(d[3] for d in dims[:-1]),
-    )
-    cls = TTMatrix if kind == 0 else TRMatrix
-    return cls(cores=cores, plan=plan)
+    try:
+        plan = FactorizationPlan(
+            row_factors=row_factors,
+            col_factors=col_factors,
+            requested_rows=int(vocab),
+            ranks=tuple(d[3] for d in dims[:-1]),
+        )
+        return (TRMatrix if kind else TTMatrix)(cores=cores, plan=plan)
+    except ValueError as exc:  # plan or chain rules the header breaks
+        raise FileFormatError(f"invalid model: {exc}") from exc
 
 
 def save_dmat(path, m: np.ndarray) -> None:

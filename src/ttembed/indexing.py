@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MixedRadix:
@@ -33,10 +35,11 @@ class MixedRadix:
     def capacity(self) -> int:
         return prod(self.factors)
 
-    def to_multi(self, i: int) -> tuple:
-        """Flat index -> digits (i_1..i_N), i_1 fastest."""
-        i = int(i)
-        if not 0 <= i < self.capacity:
+    def to_multi(self, i):
+        """Flat index -> digits (i_1..i_N), i_1 fastest; an index array
+        gives one digit array per factor."""
+        i = np.asarray(i, dtype=np.int64) if np.ndim(i) else int(i)
+        if np.any((i < 0) | (i >= self.capacity)):
             raise IndexError(f"index {i} out of range [0, {self.capacity})")
         digits = [0] * len(self.factors)
         for k in reversed(range(len(self.factors))):

@@ -1,37 +1,28 @@
 """Trainable embedding layers.
 
-TTEmbedding wraps a TTMatrix or TRMatrix and provides batched row lookup
-plus analytic gradients for all cores.  The backward pass treats both
-formats uniformly as a ring (TT is the ring with closure rank 1): for
-every batch item it builds left prefix environments during the sweep and
-right suffix environments on the way back, then contracts each with the
-upstream cotangent reshaped to (left cols, J_k, right cols).
+TTEmbedding serves a batch from TT or TR weights (TT is the ring with
+closure rank 1) through their batched chain kernel.  forward contracts
+the distinct rows of the batch; backward sums the upstream of repeated
+rows and lets the kernel build prefix and suffix products for all of
+them at once and add each row's gradient into every core.
 
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .indexing import MixedRadix
 from .linalg import ShapeError
-from .trmatrix import TRMatrix
 from .ttmatrix import TTMatrix
 
 
-@dataclass
 class GradientBuffer:
     """Per-core gradient accumulators mirroring the core shapes."""
 
-    grads: list
-    count: int = 0
-
-    @classmethod
-    def zeros_like(cls, arrays) -> "GradientBuffer":
-        return cls(grads=[np.zeros_like(a) for a in arrays])
+    def __init__(self, grads, count: int = 0):
+        self.grads = grads
+        self.count = count
 
     def add(self, other: "GradientBuffer") -> None:
         if len(other.grads) != len(self.grads):
@@ -46,11 +37,39 @@ class GradientBuffer:
         return GradientBuffer(grads=[factor * g for g in self.grads], count=self.count)
 
 
-class TTEmbedding:
+class _Layer:
+    """Checks and the SGD step shared by the embedding layers."""
+
+    def _check_indices(self, indices) -> np.ndarray:
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        if idx.size and (idx.min() < 0 or idx.max() >= self.vocab):
+            raise IndexError(f"index outside vocabulary [0, {self.vocab})")
+        return idx
+
+    def _check_upstream(self, idx, upstream) -> np.ndarray:
+        upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.shape != (idx.size, self.dim):
+            raise ShapeError(
+                f"upstream shape {upstream.shape} != ({idx.size}, {self.dim})"
+            )
+        return upstream
+
+    def apply_gradients(self, buffer: GradientBuffer, step: float) -> None:
+        """In-place SGD step: parameter -= step * grad."""
+        if not np.isfinite(step):
+            raise ValueError("step must be finite")
+        params = self.parameters()
+        if [p.shape for p in params] != [g.shape for g in buffer.grads]:
+            raise ShapeError("gradient buffer does not match the parameters")
+        for p, g in zip(params, buffer.grads):
+            p -= step * g
+
+
+class TTEmbedding(_Layer):
     """Embedding layer over TT or TR weights; serves rows [0, vocab)."""
 
     def __init__(self, weights, vocab: int | None = None):
-        if not isinstance(weights, (TTMatrix, TRMatrix)):
+        if not isinstance(weights, TTMatrix):
             raise TypeError("weights must be a TTMatrix or TRMatrix")
         self.weights = weights
         self.vocab = weights.plan.requested_rows if vocab is None else int(vocab)
@@ -63,80 +82,29 @@ class TTEmbedding:
     def dim(self) -> int:
         return self.weights.plan.cols
 
+    def parameters(self) -> list:
+        return self.weights.cores
+
     def parameter_count(self) -> int:
         return self.weights.stats().tt_params
 
-    def _check_indices(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= self.vocab):
-            raise IndexError(f"index outside vocabulary [0, {self.vocab})")
-        return idx
-
     def forward(self, indices) -> np.ndarray:
-        idx = self._check_indices(indices)
-        return np.stack([self.weights.row(int(i)) for i in idx])
+        rows, inverse = np.unique(self._check_indices(indices), return_inverse=True)
+        return self.weights.rows(rows)[inverse]
 
     def backward(self, indices, upstream) -> GradientBuffer:
         """Gradient of sum_b <upstream[b], forward(indices)[b]> w.r.t. cores."""
         idx = self._check_indices(indices)
-        upstream = np.asarray(upstream, dtype=np.float64)
-        if upstream.shape != (idx.size, self.dim):
-            raise ShapeError(
-                f"upstream shape {upstream.shape} != ({idx.size}, {self.dim})"
-            )
-        buf = GradientBuffer.zeros_like(self.weights.cores)
-        for b in range(idx.size):
-            self._accumulate_item(buf, int(idx[b]), upstream[b])
-        buf.count = int(idx.size)
-        return buf
-
-    def _accumulate_item(self, buf: GradientBuffer, i: int, u: np.ndarray) -> None:
-        cores = self.weights.cores
-        plan = self.weights.plan
-        n = len(cores)
-        digits = MixedRadix(plan.row_factors).to_multi(i)
-        slices = [cores[k][:, digits[k], :, :] for k in range(n)]  # (R_{k-1}, J_k, R_k)
-        ring = cores[0].shape[0]
-        eye = np.eye(ring).reshape(ring, 1, ring)
-        # left[k]: (ring, J_1*...*J_k block, R_k), fastest column digit first
-        left = [eye]
-        for a in slices[:-1]:
-            prev = left[-1]
-            left.append(
-                np.einsum("cpa,ajb->cjpb", prev, a).reshape(
-                    ring, a.shape[1] * prev.shape[1], a.shape[2]
-                )
-            )
-        # right[k]: (R_k, J_{k+1}*...*J_N block, ring)
-        right = [eye]
-        for a in reversed(slices[1:]):
-            nxt = right[0]
-            right.insert(
-                0,
-                np.einsum("ajb,bqc->aqjc", a, nxt).reshape(
-                    a.shape[0], a.shape[1] * nxt.shape[1], ring
-                ),
-            )
-        for k in range(n):
-            pl, pr = left[k].shape[1], right[k].shape[1]
-            u3 = np.reshape(u, (pl, plan.col_factors[k], pr), order="F")
-            g = np.einsum("cpa,pjq,bqc->ajb", left[k], u3, right[k])
-            buf.grads[k][:, digits[k], :, :] += g
-
-    def apply_gradients(self, buffer: GradientBuffer, step: float) -> None:
-        """In-place SGD step: core -= step * grad."""
-        if not np.isfinite(step):
-            raise ValueError("step must be finite")
-        cores = self.weights.cores
-        if len(buffer.grads) != len(cores):
-            raise ShapeError("gradient buffer does not match core count")
-        for c, g in zip(cores, buffer.grads):
-            if c.shape != g.shape:
-                raise ShapeError("gradient shape does not match core shape")
-            c -= step * g
+        upstream = self._check_upstream(idx, upstream)
+        rows, inverse = np.unique(idx, return_inverse=True)
+        # sum the upstream of repeated rows: bin (row, column) pairs
+        bins = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
+        summed = np.bincount(bins, upstream.ravel(), rows.size * self.dim)
+        summed = summed.reshape(rows.size, self.dim)
+        return GradientBuffer(self.weights.row_grads(rows, summed), count=int(idx.size))
 
 
-class LowRankEmbedding:
+class LowRankEmbedding(_Layer):
     """Baseline E = U V^T with U (I x D) and V (J x D)."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray):
@@ -152,17 +120,14 @@ class LowRankEmbedding:
     def dim(self) -> int:
         return self.v.shape[0]
 
+    def parameters(self) -> list:
+        return [self.u, self.v]
+
     def parameter_count(self) -> int:
         return self.u.size + self.v.size
 
     def materialize(self) -> np.ndarray:
         return self.u @ self.v.T
-
-    def _check_indices(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= self.vocab):
-            raise IndexError(f"index outside vocabulary [0, {self.vocab})")
-        return idx
 
     def forward(self, indices) -> np.ndarray:
         idx = self._check_indices(indices)
@@ -170,24 +135,11 @@ class LowRankEmbedding:
 
     def backward(self, indices, upstream) -> GradientBuffer:
         idx = self._check_indices(indices)
-        upstream = np.asarray(upstream, dtype=np.float64)
-        if upstream.shape != (idx.size, self.dim):
-            raise ShapeError(
-                f"upstream shape {upstream.shape} != ({idx.size}, {self.dim})"
-            )
+        upstream = self._check_upstream(idx, upstream)
         du = np.zeros_like(self.u)
         np.add.at(du, idx, upstream @ self.v)
         dv = upstream.T @ self.u[idx]
         return GradientBuffer(grads=[du, dv], count=int(idx.size))
-
-    def apply_gradients(self, buffer: GradientBuffer, step: float) -> None:
-        if not np.isfinite(step):
-            raise ValueError("step must be finite")
-        du, dv = buffer.grads
-        if du.shape != self.u.shape or dv.shape != self.v.shape:
-            raise ShapeError("gradient shapes do not match U/V")
-        self.u -= step * du
-        self.v -= step * dv
 
 
 def random_lowrank(vocab: int, dim: int, d: int, std: float, seed: int) -> LowRankEmbedding:

@@ -90,15 +90,9 @@ def _make_layer(cfg: TrainConfig, vocab: int):
     return random_lowrank(plan.padded_rows, plan.cols, cfg.lowrank_dim, std, seed)
 
 
-def _parameters(layer):
-    if isinstance(layer, LowRankEmbedding):
-        return [layer.u, layer.v]
-    return layer.weights.cores
-
-
 def _checksum(layer) -> str:
     h = hashlib.sha256()
-    for p in _parameters(layer):
+    for p in layer.parameters():
         h.update(np.ascontiguousarray(p).tobytes())
     return h.hexdigest()
 
@@ -180,11 +174,13 @@ def run_toy_classify(cfg: TrainConfig) -> TrainTrace:
         emb = layer.forward(toks.ravel()).reshape(cfg.batch, length, dim)
         pooled = emb.mean(axis=1)
         z = pooled @ w + b
-        loss = float(np.mean(np.log1p(np.exp(-y * z))))
+        # log(1 + e^{-yz}) and its derivative -y sigmoid(-yz) = -y e^{-log(1 + e^{yz})},
+        # both without overflow for any finite margin
+        loss = float(np.mean(np.logaddexp(0.0, -y * z)))
         if not np.isfinite(loss):
             raise DivergenceError(step)
         losses.append(loss)
-        dz = -y / (1.0 + np.exp(y * z)) / cfg.batch
+        dz = -y * np.exp(-np.logaddexp(0.0, y * z)) / cfg.batch
         dw = pooled.T @ dz
         db = float(dz.sum())
         upstream = np.repeat(np.outer(dz, w) / length, length, axis=0)

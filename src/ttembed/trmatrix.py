@@ -2,81 +2,20 @@
 
 Cores have the same 4-way layout as TT cores, but the first input rank
 and last output rank are equal to a closure rank R >= 1 and an element
-is the *trace* of the slice product.  R == 1 degenerates exactly to TT.
+is the *trace* of the slice product.  TRMatrix runs TTMatrix's kernel,
+which takes that trace, so R == 1 computes exactly what TT does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .indexing import MixedRadix
 from .planning import FactorizationPlan
-from .ttmatrix import (
-    CompressionStats,
-    TTMatrix,
-    _validate_chain,
-    core_parameter_count,
-    materialize_cap,
-)
+from .ttmatrix import TTMatrix
 
 
-@dataclass
-class TRMatrix:
-    cores: list
-    plan: FactorizationPlan
-
-    def __post_init__(self):
-        self.cores = [np.asarray(c, dtype=np.float64) for c in self.cores]
-        _validate_chain(self.cores, self.plan, ring=True)
-
-    @property
-    def ring_rank(self) -> int:
-        return self.cores[0].shape[0]
-
-    @property
-    def shape(self) -> tuple:
-        return (self.plan.padded_rows, self.plan.cols)
-
-    def element(self, i: int, j: int) -> float:
-        """trace(G1[i1,j1] @ G2[i2,j2] @ ... @ GN[iN,jN])."""
-        ii = MixedRadix(self.plan.row_factors).to_multi(i)
-        jj = MixedRadix(self.plan.col_factors).to_multi(j)
-        acc = self.cores[0][:, ii[0], jj[0], :]
-        for k in range(1, len(self.cores)):
-            acc = acc @ self.cores[k][:, ii[k], jj[k], :]
-        return float(np.trace(acc))
-
-    def row(self, i: int) -> np.ndarray:
-        """Row i: contract keeping both ring indices open, trace at the end."""
-        if self.ring_rank == 1:
-            # degenerate ring is a TT chain; use the identical op sequence
-            # so results match TTMatrix.row bit for bit
-            return TTMatrix.row(self, i)
-        ii = MixedRadix(self.plan.row_factors).to_multi(i)
-        acc = self.cores[0][:, ii[0], :, :]  # (R, J_1, R_1)
-        for k in range(1, len(self.cores)):
-            g = self.cores[k][:, ii[k], :, :]
-            # merge (j_k, previous cols) with the previous block fastest
-            acc = np.einsum("cpa,ajb->cjpb", acc, g).reshape(
-                acc.shape[0], g.shape[1] * acc.shape[1], g.shape[2]
-            )
-        return np.einsum("cjc->j", acc)
-
-    def materialize(self, cap: int | None = None) -> np.ndarray:
-        cap = materialize_cap() if cap is None else cap
-        rows, cols = self.shape
-        if rows * cols > cap:
-            raise MemoryError(
-                f"materialize of {rows}x{cols} exceeds cap of {cap} entries"
-            )
-        return np.stack([self.row(i) for i in range(rows)])
-
-    def stats(self) -> CompressionStats:
-        return CompressionStats.from_counts(
-            core_parameter_count(self.cores), self.plan.padded_rows * self.plan.cols
-        )
+class TRMatrix(TTMatrix):
+    closed = True
 
 
 def random_tr(plan: FactorizationPlan, ring_rank: int, std: float, seed: int) -> TRMatrix:

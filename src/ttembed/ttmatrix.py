@@ -17,18 +17,24 @@ from math import prod
 import numpy as np
 
 from .indexing import MixedRadix
-from .linalg import ShapeError, numerical_rank, reshape, svd
+from .linalg import ShapeError, reshape, svd
 from .planning import FactorizationPlan
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "TTEMBED_MATERIALIZE_CAP"
 TT_SVD_TRUNCATION_TOL = 1e-12
+KERNEL_BLOCK = 1 << 17  # entries of a row block's largest intermediates
 
 
 def materialize_cap() -> int:
     """Entry budget for materialize(); overridable via environment."""
     raw = os.environ.get(MATERIALIZE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_MATERIALIZE_CAP
+    try:
+        return int(raw) if raw else DEFAULT_MATERIALIZE_CAP
+    except ValueError:
+        raise ValueError(
+            f"{MATERIALIZE_CAP_ENV} must be an integer entry count, got {raw!r}"
+        ) from None
 
 
 def core_parameter_count(cores) -> int:
@@ -45,13 +51,7 @@ class CompressionStats:
     @classmethod
     def from_counts(cls, tt_params: int, dense_params: int) -> "CompressionStats":
         ratio = Fraction(dense_params, tt_params)
-        tied = Fraction(dense_params, 2 * tt_params)
-        return cls(
-            tt_params=tt_params,
-            dense_params=dense_params,
-            ratio=float(ratio),
-            tied_ratio=float(tied),
-        )
+        return cls(tt_params, dense_params, float(ratio), float(ratio / 2))
 
 
 def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
@@ -78,14 +78,16 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
         raise ShapeError(f"boundary ranks must be 1, got {first} and {last}")
 
 
-@dataclass
 class TTMatrix:
-    cores: list
-    plan: FactorizationPlan
+    """Cores plus plan.  TRMatrix closes the chain into a ring; a chain is
+    the ring with closure rank c = R_0 = R_N = 1, so one kernel serves both."""
 
-    def __post_init__(self):
-        self.cores = [np.asarray(c, dtype=np.float64) for c in self.cores]
-        _validate_chain(self.cores, self.plan, ring=False)
+    closed = False  # True on TRMatrix: R_0 == R_N may exceed 1
+
+    def __init__(self, cores, plan: FactorizationPlan):
+        self.cores = [np.asarray(c, dtype=np.float64) for c in cores]
+        self.plan = plan
+        _validate_chain(self.cores, plan, ring=self.closed)
 
     @property
     def bond_ranks(self) -> tuple:
@@ -93,42 +95,115 @@ class TTMatrix:
         return tuple(c.shape[3] for c in self.cores[:-1])
 
     @property
+    def ring_rank(self) -> int:
+        return self.cores[0].shape[0]
+
+    @property
     def shape(self) -> tuple:
         return (self.plan.padded_rows, self.plan.cols)
 
-    def _digits(self, i: int, j: int):
-        row_radix = MixedRadix(self.plan.row_factors)
-        col_radix = MixedRadix(self.plan.col_factors)
-        return row_radix.to_multi(i), col_radix.to_multi(j)
-
     def element(self, i: int, j: int) -> float:
-        """Entry (i, j) as the scalar chain product of core slices."""
-        ii, jj = self._digits(i, j)
+        """Entry (i, j): trace of the product of the core slices."""
+        ii = MixedRadix(self.plan.row_factors).to_multi(i)
+        jj = MixedRadix(self.plan.col_factors).to_multi(j)
         acc = self.cores[0][:, ii[0], jj[0], :]
         for k in range(1, len(self.cores)):
             acc = acc @ self.cores[k][:, ii[k], jj[k], :]
-        return float(acc[0, 0])
+        return float(np.trace(acc))
+
+    def _blocks(self, indices):
+        """Yield (rows, their digits) for blocks of the rows at `indices`
+        whose intermediates, about c * R_{k-1} * J_k * R_k entries a row,
+        stay small enough for the allocator to reuse."""
+        idx = np.asarray(indices, dtype=np.int64).ravel()
+        digits = MixedRadix(self.plan.row_factors).to_multi(idx)
+        per_row = self.ring_rank * max(c.size // c.shape[1] for c in self.cores)
+        step = max(1, KERNEL_BLOCK // per_row)
+        for s in range(0, idx.size, step):
+            yield slice(s, s + step), [x[s : s + step] for x in digits]
+
+    def _slices(self, k: int, digits) -> np.ndarray:
+        """Core k's slices at the rows' digits: (B, R_{k-1}, J_k, R_k)."""
+        return np.take(self.cores[k], digits[k], axis=1).transpose(1, 0, 2, 3)
+
+    def _prefixes(self, digits):
+        """Yield the products of each row's first k = 0..N-1 slices,
+        (B, c * J_1..J_k, R_k) with c slowest and J_1 fastest.  A row's
+        result does not depend on the other rows of its block."""
+        b, c = digits[0].size, self.ring_rank
+        acc = np.broadcast_to(np.eye(c), (b, c, c))
+        for k in range(len(self.cores) - 1):
+            yield acc
+            g = self._slices(k, digits)
+            r, jk, rk = g.shape[1:]
+            p = acc.shape[1] // c
+            nxt = (acc @ g.reshape(b, r, jk * rk)).reshape(b, c, p, jk, rk)
+            acc = nxt.transpose(0, 1, 3, 2, 4).reshape(b, c * jk * p, rk)
+        yield acc
+
+    def rows(self, indices) -> np.ndarray:
+        """Rows at an index array, (B, cols), one batched matmul per core.
+        The last also contracts c, which takes the trace."""
+        c = self.ring_rank
+        out = np.empty((np.size(indices), self.plan.cols))
+        for blk, d in self._blocks(indices):
+            for acc in self._prefixes(d):
+                pass
+            g = self._slices(-1, d)  # (B, R_{N-1}, J_N, c)
+            b, r, jn = g.shape[:3]
+            p = acc.shape[1] // c
+            acc = acc.reshape(b, c, p, r).transpose(0, 2, 1, 3).reshape(b, p, c * r)
+            acc = acc @ g.transpose(0, 3, 1, 2).reshape(b, c * r, jn)
+            out[blk] = acc.transpose(0, 2, 1).reshape(b, jn * p)
+        return out
 
     def row(self, i: int) -> np.ndarray:
-        """Row i by sequential contraction; output entry j has j_1 fastest."""
-        ii = MixedRadix(self.plan.row_factors).to_multi(i)
-        acc = self.cores[0][0, ii[0], :, :]  # (J_1, R_1)
-        for k in range(1, len(self.cores)):
-            g = self.cores[k][:, ii[k], :, :]  # (R_{k-1}, J_k, R_k)
-            p, r = acc.shape
-            jk, rk = g.shape[1], g.shape[2]
-            nxt = (acc @ g.reshape(r, jk * rk)).reshape(p, jk, rk)
-            acc = nxt.transpose(1, 0, 2).reshape(jk * p, rk)
-        return np.ascontiguousarray(acc[:, 0])
+        """Row i; output entry j has j_1 fastest."""
+        return self.rows([i])[0]
+
+    def row_grads(self, indices, upstream) -> list:
+        """Gradient of sum_b <upstream[b], rows(indices)[b]> w.r.t. each core.
+        Row b's core-k gradient contracts its prefix, its upstream viewed as
+        (suffix cols, J_k, prefix cols) and its suffix; a one-hot matmul
+        sums the rows by digit i_k."""
+        c = self.ring_rank
+        upstream = np.asarray(upstream, dtype=np.float64)
+        grads = [np.zeros_like(x) for x in self.cores]
+        for blk, d in self._blocks(indices):
+            u = upstream[blk]
+            b = u.shape[0]
+            left = list(self._prefixes(d))
+            right = np.broadcast_to(np.eye(c), (b, c, c))  # (B, c * J_{k+1}..J_N, R_k)
+            for k in reversed(range(len(self.cores))):
+                a, _, jk, rk = self.cores[k].shape
+                lk = left.pop()
+                p, q = lk.shape[1] // c, right.shape[1] // c
+                if k:
+                    t = u.reshape(b, 1, q * jk, p) @ lk.reshape(b, c, p, a)
+                    g = right.transpose(0, 2, 1) @ t.reshape(b, c * q, jk * a)
+                else:  # the prefix is the identity: skip the (c, cols, c) product
+                    g = right.reshape(b, c, q, rk).transpose(0, 1, 3, 2) @ u.reshape(b, 1, q, jk)
+                    g = g.transpose(0, 2, 3, 1)
+                vals, inv = np.unique(d[k], return_inverse=True)
+                g = (np.arange(vals.size)[:, None] == inv) @ g.reshape(b, rk * jk * a)
+                grads[k][:, vals] += g.reshape(-1, rk, jk, a).transpose(3, 0, 2, 1)
+                if k:
+                    s = self._slices(k, d).reshape(b, a * jk, rk)
+                    right = (right @ s.transpose(0, 2, 1)).reshape(b, c, q, a, jk)
+                    right = right.transpose(0, 1, 2, 4, 3).reshape(b, c * q * jk, a)
+        return grads
 
     def materialize(self, cap: int | None = None) -> np.ndarray:
-        """Full dense (padded_rows x cols) matrix; guarded by an entry cap."""
+        """Full dense (padded_rows x cols) matrix; guarded by an entry cap.
+        A chain contracts whole cores; a ring runs the row kernel."""
         cap = materialize_cap() if cap is None else cap
         rows, cols = self.shape
         if rows * cols > cap:
             raise MemoryError(
                 f"materialize of {rows}x{cols} exceeds cap of {cap} entries"
             )
+        if self.ring_rank > 1:
+            return self.rows(np.arange(rows))
         acc = self.cores[0][0]  # (I_1, J_1, R_1)
         for core in self.cores[1:]:
             acc = np.tensordot(acc, core, axes=([-1], [0]))

@@ -200,6 +200,19 @@ class TestCorruption:
         with pytest.raises(FileFormatError, match="kind"):
             load_tt(corrupt(path, tmp_path, mutate))
 
+    def test_plan_violation_is_file_format_error(self, tmp_path):
+        # a well-formed N=2 chain whose core 0 has a size-1 row mode: the
+        # header passes the structural checks but no plan allows it
+        dims = [(1, 1, 2, 2), (2, 3, 2, 1)]
+        parts = [b"TTE1", struct.pack("<BBH", 0, 0, 2)]
+        parts += [struct.pack("<4I", *d) for d in dims]
+        parts.append(struct.pack("<Q", 3))
+        parts += [np.ones(d, dtype="<f8").tobytes() for d in dims]
+        path = tmp_path / "degenerate.tte"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(FileFormatError, match="1-factors"):
+            load_tt(path)
+
     def test_messages_are_distinct(self, tt, tmp_path):
         _, _, path = tt
         cases = {

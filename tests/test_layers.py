@@ -2,11 +2,48 @@ import numpy as np
 import pytest
 from conftest import fd_gradient_error, random_plan
 
+from ttembed.indexing import MixedRadix
 from ttembed.layers import GradientBuffer, LowRankEmbedding, TTEmbedding, random_lowrank
 from ttembed.linalg import ShapeError
 from ttembed.planning import FactorizationPlan
 from ttembed.trmatrix import random_tr
 from ttembed.ttmatrix import glorot_tt, random_tt
+
+
+def single_row(m, i):
+    """Row i of a chain contracted one core at a time: the op sequence the
+    batched kernel must reproduce bit for bit."""
+    ii = MixedRadix(m.plan.row_factors).to_multi(i)
+    acc = m.cores[0][0, ii[0], :, :]
+    for k in range(1, len(m.cores)):
+        g = m.cores[k][:, ii[k], :, :]
+        p, r = acc.shape
+        jk, rk = g.shape[1], g.shape[2]
+        nxt = (acc @ g.reshape(r, jk * rk)).reshape(p, jk, rk)
+        acc = nxt.transpose(1, 0, 2).reshape(jk * p, rk)
+    return acc[:, 0]
+
+
+def loop_backward(m, idx, upstream):
+    """Core gradients accumulated one batch item at a time from explicit
+    left and right environments: the reference for the batched backward."""
+    grads = [np.zeros_like(c) for c in m.cores]
+    ring = m.cores[0].shape[0]
+    eye = np.eye(ring).reshape(ring, 1, ring)
+    for i, u in zip(idx, upstream):
+        digits = MixedRadix(m.plan.row_factors).to_multi(int(i))
+        slices = [c[:, d, :, :] for c, d in zip(m.cores, digits)]
+        left, right = [eye], [eye]
+        for a in slices[:-1]:
+            p = left[-1]
+            left.append(np.einsum("cpa,ajb->cjpb", p, a).reshape(ring, -1, a.shape[2]))
+        for a in reversed(slices[1:]):
+            r = right[0]
+            right.insert(0, np.einsum("ajb,bqc->aqjc", a, r).reshape(a.shape[0], -1, ring))
+        for k, (lk, rk) in enumerate(zip(left, right)):
+            u3 = np.reshape(u, (lk.shape[1], m.plan.col_factors[k], rk.shape[1]), order="F")
+            grads[k][:, digits[k], :, :] += np.einsum("cpa,pjq,bqc->ajb", lk, u3, rk)
+    return grads
 
 
 class TestForward:
@@ -37,6 +74,54 @@ class TestForward:
         w = random_tt(plan, 1.0, 3)
         with pytest.raises(ShapeError):
             TTEmbedding(w, vocab=5)
+
+
+    def test_empty_batch(self):
+        plan = FactorizationPlan((2, 3), (3, 2), 6, (2,))
+        for weights in (random_tt(plan, 1.0, 12), random_tr(plan, 3, 1.0, 13)):
+            layer = TTEmbedding(weights)
+            assert layer.forward([]).shape == (0, 6)
+            buf = layer.backward([], np.zeros((0, 6)))
+            assert buf.count == 0
+            assert all(g.shape == c.shape and not g.any()
+                       for g, c in zip(buf.grads, weights.cores))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("plan", [
+        FactorizationPlan((7,), (5,), 7, ()),
+        FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 2)),
+        FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2)),
+    ])
+    def test_tt_forward_bitwise_equals_row_loop(self, plan):
+        layer = TTEmbedding(glorot_tt(plan, 14, std=1.0))
+        idx = np.random.default_rng(8).integers(layer.vocab, size=40)
+        want = np.stack([single_row(layer.weights, int(i)) for i in idx])
+        assert layer.forward(idx).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ring", [1, 4])
+    def test_backward_matches_item_loop(self, ring):
+        plan = FactorizationPlan((2, 3, 2), (2, 2, 3), 12, (2, 3))
+        layer = TTEmbedding(random_tr(plan, ring, 0.8, 17))
+        idx = np.array([5, 0, 5, 11, 5, 0, 7])
+        upstream = np.random.default_rng(11).standard_normal((7, 12))
+        got = layer.backward(idx, upstream).grads
+        for g, want in zip(got, loop_backward(layer.weights, idx, upstream)):
+            assert np.allclose(g, want, rtol=1e-12, atol=1e-13)
+
+    def test_fd_tt_repeated_indices(self):
+        plan = FactorizationPlan((2, 3, 2), (2, 2, 3), 12, (2, 3))
+        layer = TTEmbedding(random_tt(plan, 1.0, 15))
+        idx = np.array([3, 7, 3, 11, 3, 7])
+        upstream = np.random.default_rng(9).standard_normal((6, 12))
+        assert fd_gradient_error(layer, idx, upstream) < 1e-5
+
+    def test_fd_ring_rank_four_repeated_indices(self):
+        plan = FactorizationPlan((2, 3, 2), (2, 2, 3), 12, (2, 3))
+        layer = TTEmbedding(random_tr(plan, 4, 0.6, 16))
+        idx = np.array([5, 0, 5, 11, 5, 0])
+        upstream = np.random.default_rng(10).standard_normal((6, 12))
+        assert fd_gradient_error(layer, idx, upstream) < 1e-5
 
 
 class TestBackwardTT:

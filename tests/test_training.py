@@ -106,6 +106,14 @@ class TestToyClassify:
         assert a.losses == b.losses
         assert a.final_checksum == b.final_checksum
 
+    def test_large_margins_do_not_overflow(self):
+        # at lr 50 the margins y*z pass 709, where exp(y*z) overflows
+        plan = plan_embedding(64, 64, 2, 8)
+        cfg = TrainConfig(plan=plan, task="toy-classify", lr=50.0, seed=1)
+        with np.errstate(over="raise"):
+            trace = run_toy_classify(cfg)
+        assert np.all(np.isfinite(trace.losses))
+
     def test_wrong_task_guard(self):
         with pytest.raises(ValueError):
             run_toy_classify(TrainConfig(plan=SMALL, task="matrix-fit"))

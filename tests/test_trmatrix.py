@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_plan
 
+from ttembed import ttmatrix
 from ttembed.indexing import MixedRadix
 from ttembed.linalg import ShapeError
 from ttembed.planning import FactorizationPlan
@@ -68,6 +69,26 @@ class TestRow:
         dense = m.materialize()
         for i in range(6):
             assert np.array_equal(dense[i], m.row(i))
+
+
+class TestBatchedKernel:
+    def test_ring_rank_four_rows_match_element(self):
+        plan = FactorizationPlan((2, 3, 2), (3, 2, 2), 12, (3, 2))
+        m = random_tr(plan, 4, 1.0, 21)
+        rows = m.rows(np.arange(12))
+        for i in range(12):
+            for j in range(12):
+                assert rows[i, j] == pytest.approx(m.element(i, j), rel=1e-12, abs=1e-14)
+
+    def test_materialize_blocks_equal_rows_bitwise(self, monkeypatch):
+        plan = FactorizationPlan((2, 3, 2), (3, 2, 2), 12, (3, 2))
+        m = random_tr(plan, 4, 1.0, 22)
+        # blocks of 5, 5 and 2 rows
+        per_row = 4 * max(c.size // c.shape[1] for c in m.cores)
+        monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", 5 * per_row)
+        dense = m.materialize()
+        for i in range(12):
+            assert dense[i].tobytes() == m.row(i).tobytes()
 
 
 class TestCircularShift:

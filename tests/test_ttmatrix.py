@@ -104,6 +104,12 @@ class TestMaterialize:
             for j in range(4):
                 assert dense[i, j] == pytest.approx(m.element(i, j), rel=1e-12)
 
+    def test_bad_cap_value_is_named(self, monkeypatch):
+        m = ones_tt(FactorizationPlan((2, 2), (2, 2), 4, (1,)))
+        monkeypatch.setenv(MATERIALIZE_CAP_ENV, "abc")
+        with pytest.raises(ValueError, match=f"{MATERIALIZE_CAP_ENV}.*'abc'"):
+            m.materialize()
+
     def test_cap_enforced(self, monkeypatch):
         plan = FactorizationPlan((8, 8), (8, 8), 64, (1,))
         m = ones_tt(plan)
