@@ -1,5 +1,5 @@
 """Verification instruments: full-rank checks, initialization statistics,
-and compression-vs-rank tables."""
+compression-vs-rank tables and the finite-difference gradient audit."""
 
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from .ttmatrix import (
 )
 
 RANK_CHECK_DIM_CAP = 4096
+FD_STEP = 1e-6  # relative central-difference step, floored at 1 in |p|
+FD_ABS_FLOOR = 1e-8  # differences below this are not scored
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,7 @@ def compression_table(vocab: int, dim: int, n: int, rank_ladder):
     rows = []
     for rank in rank_ladder:
         plan = plan_embedding(vocab, dim, n, int(rank))
-        tt_params = sum(
-            r_in * i * j * r_out
-            for r_in, i, j, r_out in zip(
-                (1,) + plan.ranks,
-                plan.row_factors,
-                plan.col_factors,
-                plan.ranks + (1,),
-            )
-        )
+        tt_params = plan.parameter_count
         stats = CompressionStats.from_counts(tt_params, plan.padded_rows * plan.cols)
         d = tt_params // (plan.padded_rows + plan.cols)
         rows.append(
@@ -171,3 +165,29 @@ def compression_table(vocab: int, dim: int, n: int, rank_ladder):
             )
         )
     return rows
+
+
+def gradient_audit(layer, idx, upstream) -> float:
+    """Worst relative mismatch between the analytic gradient of
+    sum(forward(idx) * upstream) and its central finite difference, over
+    every entry of layer.parameters() (perturbed in place and restored)."""
+    grads = layer.backward(idx, upstream).grads
+
+    def total():
+        return float(np.sum(layer.forward(idx) * upstream))
+
+    worst = 0.0
+    for p, g in zip(layer.parameters(), grads):
+        for mi in np.ndindex(p.shape):
+            p0 = p[mi]
+            h = FD_STEP * max(1.0, abs(p0))
+            p[mi] = p0 + h
+            lp = total()
+            p[mi] = p0 - h
+            lm = total()
+            p[mi] = p0
+            fd = (lp - lm) / (2.0 * h)
+            diff = abs(g[mi] - fd)
+            if diff > FD_ABS_FLOOR:
+                worst = max(worst, diff / max(abs(fd), abs(g[mi])))
+    return worst

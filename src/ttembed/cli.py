@@ -221,28 +221,7 @@ def _cmd_gradcheck(args, out: Printer) -> int:
     rng = np.random.default_rng(args.seed)
     idx = rng.integers(0, layer.vocab, size=args.batch)
     upstream = rng.standard_normal((args.batch, layer.dim))
-    buf = layer.backward(idx, upstream)
-
-    def total():
-        return float(np.sum(layer.forward(idx) * upstream))
-
-    worst = 0.0
-    for k, core in enumerate(layer.weights.cores):
-        it = np.nditer(core, flags=["multi_index"])
-        for _ in it:
-            mi = it.multi_index
-            g0 = core[mi]
-            h = 1e-6 * max(1.0, abs(g0))
-            core[mi] = g0 + h
-            lp = total()
-            core[mi] = g0 - h
-            lm = total()
-            core[mi] = g0
-            fd = (lp - lm) / (2.0 * h)
-            an = buf.grads[k][mi]
-            diff = abs(an - fd)
-            if diff > 1e-8:  # absolute floor below which we don't score
-                worst = max(worst, diff / max(abs(fd), abs(an)))
+    worst = analysis.gradient_audit(layer, idx, upstream)
     out.kv("max_rel_error", worst)
     return 0 if worst < 1e-5 else DATA_EXIT
 

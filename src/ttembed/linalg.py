@@ -6,10 +6,8 @@ All reshapes in this package go through :func:`reshape` (or pass
 reorders the underlying flat data.  Serialization converts to row-major
 at the file boundary (see :mod:`ttembed.fileformat`).
 
-The SVD is a one-sided Jacobi implemented here rather than delegated to
-LAPACK: matrices stay at desk scale (<= 4096 x 4096) and the rotation
-sweep is easy to audit.  Column pairs are processed in round-robin
-rounds so each round is a single vectorized rotation.
+The SVD is numpy's LAPACK driver.  A fixed sign convention on top makes
+its factors independent of the signs the driver happens to pick.
 """
 
 from __future__ import annotations
@@ -70,120 +68,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
-def _round_robin_rounds(n: int):
-    """Pairings of the circle method: n-1 rounds of disjoint column pairs."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [
-            (players[i], players[m - 1 - i])
-            for i in range(m // 2)
-            if players[i] >= 0 and players[m - 1 - i] >= 0
-        ]
-        rounds.append(
-            (np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
-        )
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def _jacobi_orthogonalize(a: np.ndarray, max_sweeps: int = 64, tol: float = 1e-15):
-    """Rotate column pairs of `a` until mutually orthogonal.
-
-    Returns (b, v) with b == a @ v and v orthogonal; the columns of b are
-    (numerically) pairwise orthogonal.
-    """
-    n = a.shape[1]
-    b = np.array(a, dtype=np.float64)
-    v = np.eye(n)
-    if n < 2:
-        return b, v
-    rounds = _round_robin_rounds(n)
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for ps, qs in rounds:
-            bp, bq = b[:, ps], b[:, qs]
-            alpha = np.einsum("ij,ij->j", bp, bp)
-            beta = np.einsum("ij,ij->j", bq, bq)
-            gamma = np.einsum("ij,ij->j", bp, bq)
-            denom = np.sqrt(alpha * beta)
-            live = denom > 0.0
-            off = np.zeros_like(gamma)
-            off[live] = np.abs(gamma[live]) / denom[live]
-            worst = max(worst, off.max(initial=0.0))
-            act = off > tol
-            if not act.any():
-                continue
-            zeta = (beta[act] - alpha[act]) / (2.0 * gamma[act])
-            # zeta == 0 needs the full 45-degree rotation, not a no-op
-            sgn = np.where(zeta >= 0.0, 1.0, -1.0)
-            t = sgn / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            pa, qa = ps[act], qs[act]
-            bp, bq = b[:, pa], b[:, qa]
-            b[:, pa] = c * bp - s * bq
-            b[:, qa] = s * bp + c * bq
-            vp, vq = v[:, pa], v[:, qa]
-            v[:, pa] = c * vp - s * vq
-            v[:, qa] = s * vp + c * vq
-        if worst <= tol:
-            break
-    return b, v
-
-
-def _fill_null_columns(u: np.ndarray, dead: np.ndarray) -> None:
-    """Replace zero-norm columns of u with orthonormal complement vectors."""
-    m = u.shape[0]
-    live = [j for j in range(u.shape[1]) if not dead[j]]
-    basis = [u[:, j] for j in live]
-    e = 0
-    for j in np.flatnonzero(dead):
-        while True:
-            if e >= m:
-                raise RuntimeError("failed to complete orthonormal basis")
-            cand = np.zeros(m)
-            cand[e] = 1.0
-            e += 1
-            for w in basis:
-                cand -= (w @ cand) * w
-            nrm = np.linalg.norm(cand)
-            if nrm > 0.5:  # canonical vector not (nearly) in the span
-                cand /= nrm
-                break
-        u[:, j] = cand
-        basis.append(cand)
-
-
 def svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD by one-sided Jacobi.
+    """Thin SVD by LAPACK (``np.linalg.svd(full_matrices=False)``).
 
-    Deterministic sign convention: the largest-magnitude entry of every
-    u-column is made positive.
+    Singular values come in descending order.  Deterministic sign
+    convention: the largest-magnitude entry of every u-column is made
+    positive, and the matching vt-row is flipped with it.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError("svd expects a matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("svd input contains non-finite entries")
-    flipped = m.shape[0] < m.shape[1]
-    a = m.T if flipped else m
-    b, v = _jacobi_orthogonalize(a)
-    s = np.linalg.norm(b, axis=0)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
-    b = b[:, order]
-    v = v[:, order]
-    dead = s == 0.0
-    u = np.where(dead, 1.0, s)[None, :]
-    u = b / u
-    if dead.any():
-        _fill_null_columns(u, dead)
-    vt = v.T
-    if flipped:
-        u, vt = vt.T, u.T
-    # sign convention on u columns
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
     piv = np.argmax(np.abs(u), axis=0)
     flip = u[piv, np.arange(u.shape[1])] < 0.0
     u[:, flip] *= -1.0

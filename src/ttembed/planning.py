@@ -61,6 +61,15 @@ class FactorizationPlan:
     def cols(self) -> int:
         return prod(self.col_factors)
 
+    @property
+    def parameter_count(self) -> int:
+        """Core entries at the planned ranks: sum of R_{k-1} I_k J_k R_k."""
+        r = (1,) + self.ranks + (1,)
+        return sum(
+            r[k] * i * j * r[k + 1]
+            for k, (i, j) in enumerate(zip(self.row_factors, self.col_factors))
+        )
+
 
 def _factorizations(s: int, n: int, lo: int):
     """Ascending n-tuples of factors >= lo with product exactly s."""

@@ -21,35 +21,3 @@ def random_tt_from(rng, plan, std=1.0):
         for k in range(plan.n_cores)
     ]
     return TTMatrix(cores=cores, plan=plan)
-
-
-def fd_gradient_error(layer, idx, upstream):
-    """Worst relative mismatch between analytic and central finite-difference
-    gradients; differences under 1e-8 absolute are not scored."""
-    buf = layer.backward(idx, upstream)
-    if hasattr(layer, "weights"):
-        params = layer.weights.cores
-    else:
-        params = [layer.u, layer.v]
-
-    def total():
-        return float(np.sum(layer.forward(idx) * upstream))
-
-    worst = 0.0
-    for k, p in enumerate(params):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            mi = it.multi_index
-            g0 = p[mi]
-            h = 1e-6 * max(1.0, abs(g0))
-            p[mi] = g0 + h
-            lp = total()
-            p[mi] = g0 - h
-            lm = total()
-            p[mi] = g0
-            fd = (lp - lm) / (2.0 * h)
-            an = buf.grads[k][mi]
-            diff = abs(an - fd)
-            if diff > 1e-8:
-                worst = max(worst, diff / max(abs(fd), abs(an)))
-    return worst

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from ttembed.analysis import check_full_rank, init_statistics
+from ttembed.analysis import check_full_rank, gradient_audit, init_statistics
 from ttembed.fileformat import FileFormatError, load_tt, save_tt
 from ttembed.indexing import MixedRadix
 from ttembed.layers import TTEmbedding, random_lowrank
@@ -187,33 +187,6 @@ def test_acceptance_5_tt_svd_losslessness():
     report(5, f"20 lossless roundtrips, monotone rank ladder ({elapsed:.2f}s)")
 
 
-def fd_worst_error(layer, idx, upstream):
-    buf = layer.backward(idx, upstream)
-    params = layer.weights.cores
-
-    def total():
-        return float(np.sum(layer.forward(idx) * upstream))
-
-    worst = 0.0
-    for k, p in enumerate(params):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            mi = it.multi_index
-            g0 = p[mi]
-            h = 1e-6 * max(1.0, abs(g0))
-            p[mi] = g0 + h
-            lp = total()
-            p[mi] = g0 - h
-            lm = total()
-            p[mi] = g0
-            fd = (lp - lm) / (2.0 * h)
-            an = buf.grads[k][mi]
-            diff = abs(an - fd)
-            if diff > 1e-8:
-                worst = max(worst, diff / max(abs(fd), abs(an)))
-    return worst
-
-
 def test_acceptance_6_gradient_audit():
     t0 = time.perf_counter()
     rng = np.random.default_rng(106)
@@ -233,7 +206,7 @@ def test_acceptance_6_gradient_audit():
         if batch >= 2:
             idx[1] = idx[0]  # force a repeated index
         upstream = rng.standard_normal((batch, layer.dim))
-        assert fd_worst_error(layer, idx, upstream) < 1e-5
+        assert gradient_audit(layer, idx, upstream) < 1e-5
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     report(6, f"20 layers incl. repeats and TR within 1e-5 ({elapsed:.2f}s)")

@@ -4,10 +4,14 @@ import pytest
 from ttembed.analysis import (
     check_full_rank,
     compression_table,
+    gradient_audit,
     init_statistics,
     pooled_moments,
 )
+from ttembed.layers import TTEmbedding, random_lowrank
 from ttembed.planning import FactorizationPlan, plan_embedding
+from ttembed.trmatrix import random_tr
+from ttembed.ttmatrix import glorot_tt
 
 
 class TestFullRankCheck:
@@ -136,3 +140,33 @@ class TestCompressionTable:
             # D chosen so (I + J) * D <= tt_params
             assert (1000 + 64) * r.lowrank_d <= r.tt_params
             assert r.lowrank_max_rank <= min(1000, 64)
+
+
+def _audit_case(kind):
+    """A small layer of each kind plus a batch with a repeated index."""
+    plan = FactorizationPlan((3, 4), (2, 3), 12, (2,))
+    if kind == "tt":
+        layer = TTEmbedding(glorot_tt(plan, 0, std=1.0))
+    elif kind == "tr":
+        layer = TTEmbedding(random_tr(plan, 2, 0.8, 1))
+    else:
+        layer = random_lowrank(12, 6, 3, 1.0, 2)
+    upstream = np.random.default_rng(3).standard_normal((4, layer.dim))
+    return layer, np.array([0, 5, 5, 11]), upstream
+
+
+class TestGradientAudit:
+    @pytest.mark.parametrize("kind", ["tt", "tr", "lowrank"])
+    def test_exact_gradient_passes_and_restores_parameters(self, kind):
+        layer, idx, upstream = _audit_case(kind)
+        before = [p.copy() for p in layer.parameters()]
+        assert gradient_audit(layer, idx, upstream) < 1e-5
+        for p, q in zip(layer.parameters(), before):
+            assert np.array_equal(p, q)
+
+    @pytest.mark.parametrize("kind", ["tt", "tr", "lowrank"])
+    def test_scaled_gradient_is_caught(self, kind):
+        layer, idx, upstream = _audit_case(kind)
+        exact = layer.backward
+        layer.backward = lambda i, u: exact(i, u).scaled(1.0 + 1e-4)
+        assert gradient_audit(layer, idx, upstream) > 1e-5

@@ -240,3 +240,47 @@ class TestCorruption:
         short.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FileFormatError, match="payload length mismatch"):
             load_dmat(short)
+
+
+def _fuzz_sources(tmp_path):
+    """(path, header length, loader) for one saved file of each kind."""
+    tt_plan = FactorizationPlan((2, 3, 2), (3, 2, 2), 10, (2, 3))
+    tr_plan = FactorizationPlan((2, 2), (2, 2), 4, (3,))
+    sources = []
+    for name, m in [("tt", random_tt(tt_plan, 1.0, 0)), ("tr", random_tr(tr_plan, 2, 1.0, 1))]:
+        path = tmp_path / f"{name}.tte"
+        save_tt(path, m)
+        sources.append((path, 4 + 4 + 16 * len(m.cores) + 8, load_tt))
+    path = tmp_path / "m.dmat"
+    save_dmat(path, np.random.default_rng(0).standard_normal((3, 4)))
+    sources.append((path, 4 + 17, load_dmat))
+    return sources
+
+
+class TestLoaderFuzz:
+    CASES_PER_FILE = 1000
+
+    def test_only_file_format_error_escapes(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        out = tmp_path / "fuzzed"
+        for path, header, loader in _fuzz_sources(tmp_path):
+            clean = path.read_bytes()
+            for case in range(self.CASES_PER_FILE):
+                buf = bytearray(clean)
+                mode = case % 3
+                if mode == 0:  # truncate at a random offset
+                    buf = buf[: int(rng.integers(len(buf)))]
+                else:  # overwrite 1-3 bytes in the header, or anywhere
+                    span = header if mode == 1 else len(buf)
+                    for pos in rng.integers(span, size=int(rng.integers(1, 4))):
+                        buf[pos] = int(rng.integers(256))
+                out.write_bytes(bytes(buf))
+                try:
+                    loader(out)
+                except FileFormatError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other class is the bug
+                    pytest.fail(
+                        f"{path.name} case {case}: {type(exc).__name__}: {exc} "
+                        f"from bytes {bytes(buf).hex()}"
+                    )

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from conftest import fd_gradient_error, random_plan
+from conftest import random_plan
 
+from ttembed.analysis import gradient_audit
 from ttembed.indexing import MixedRadix
 from ttembed.layers import GradientBuffer, LowRankEmbedding, TTEmbedding, random_lowrank
 from ttembed.linalg import ShapeError
@@ -114,14 +115,14 @@ class TestBatchedKernel:
         layer = TTEmbedding(random_tt(plan, 1.0, 15))
         idx = np.array([3, 7, 3, 11, 3, 7])
         upstream = np.random.default_rng(9).standard_normal((6, 12))
-        assert fd_gradient_error(layer, idx, upstream) < 1e-5
+        assert gradient_audit(layer, idx, upstream) < 1e-5
 
     def test_fd_ring_rank_four_repeated_indices(self):
         plan = FactorizationPlan((2, 3, 2), (2, 2, 3), 12, (2, 3))
         layer = TTEmbedding(random_tr(plan, 4, 0.6, 16))
         idx = np.array([5, 0, 5, 11, 5, 0])
         upstream = np.random.default_rng(10).standard_normal((6, 12))
-        assert fd_gradient_error(layer, idx, upstream) < 1e-5
+        assert gradient_audit(layer, idx, upstream) < 1e-5
 
 
 class TestBackwardTT:
@@ -131,7 +132,7 @@ class TestBackwardTT:
         rng = np.random.default_rng(0)
         idx = np.array([0, 2, 5])
         upstream = rng.standard_normal((3, 6))
-        assert fd_gradient_error(layer, idx, upstream) < 1e-5
+        assert gradient_audit(layer, idx, upstream) < 1e-5
 
     def test_repeated_indices_accumulate(self):
         plan = FactorizationPlan((2, 2), (2, 2), 4, (2,))
@@ -156,7 +157,7 @@ class TestBackwardTT:
             layer = TTEmbedding(glorot_tt(plan, int(rng.integers(100)), std=1.0))
             idx = rng.integers(layer.vocab, size=2)
             upstream = rng.standard_normal((2, layer.dim))
-            assert fd_gradient_error(layer, idx, upstream) < 1e-5
+            assert gradient_audit(layer, idx, upstream) < 1e-5
 
 
 class TestBackwardTR:
@@ -166,7 +167,7 @@ class TestBackwardTR:
         rng = np.random.default_rng(3)
         idx = np.array([1, 4])
         upstream = rng.standard_normal((2, 6))
-        assert fd_gradient_error(layer, idx, upstream) < 1e-5
+        assert gradient_audit(layer, idx, upstream) < 1e-5
 
     def test_ring_rank_three(self):
         plan = FactorizationPlan((2, 2, 2), (2, 2, 2), 8, (2, 2))
@@ -174,7 +175,7 @@ class TestBackwardTR:
         rng = np.random.default_rng(4)
         idx = np.array([0, 7, 3])
         upstream = rng.standard_normal((3, 8))
-        assert fd_gradient_error(layer, idx, upstream) < 1e-5
+        assert gradient_audit(layer, idx, upstream) < 1e-5
 
 
 class TestApplyGradients:
@@ -236,7 +237,7 @@ class TestLowRank:
         rng = np.random.default_rng(6)
         idx = np.array([0, 3, 3, 7])
         upstream = rng.standard_normal((4, 5))
-        assert fd_gradient_error(layer, idx, upstream) < 1e-5
+        assert gradient_audit(layer, idx, upstream) < 1e-5
 
     def test_exact_gradients(self):
         layer = random_lowrank(6, 4, 2, 1.0, 2)

@@ -110,10 +110,29 @@ class TestSvd:
         assert s[0] > 1e-8
         assert np.all(s[1:] < 1e-12 * s[0])
 
-    @pytest.mark.parametrize("shape", [(8, 5), (5, 8), (16, 16), (64, 64), (1, 1)])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (8, 5),
+            (5, 8),
+            (16, 16),
+            (64, 64),
+            (1, 1),
+            # rank-deficient: null columns of u (or rows of vt) must still
+            # come out orthonormal
+            pytest.param((9, 4, "outer"), id="outer-9x4"),
+            pytest.param((4, 9, "outer"), id="outer-4x9"),
+            pytest.param((6, 6, "repeated-column"), id="repeated-column-6x6"),
+        ],
+    )
     def test_reconstruction_and_orthonormality(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        m = rng.standard_normal(shape)
+        rows, cols, *kind = shape
+        rng = np.random.default_rng(rows + cols)
+        m = rng.standard_normal((rows, cols))
+        if kind == ["outer"]:
+            m = np.outer(m[:, 0], m[0, :])
+        elif kind == ["repeated-column"]:
+            m[:, 3] = m[:, 1]
         res = svd(m)
         rec = res.u @ np.diag(res.singular_values) @ res.vt
         assert np.linalg.norm(rec - m) <= 1e-10 * np.linalg.norm(m)

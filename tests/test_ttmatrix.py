@@ -175,6 +175,18 @@ class TestTTSvd:
         with pytest.raises(ShapeError):
             tt_svd(np.zeros((5, 4)), plan)
 
+    def test_repeat_call_bitwise_identical(self):
+        # the compress checksum relies on tt_svd being a pure function
+        rng = np.random.default_rng(8)
+        plan = FactorizationPlan((4, 4, 4), (4, 4, 4), 64, (5, 5))
+        dense = random_tt_from(rng, plan).materialize()
+        dense += 1e-3 * rng.standard_normal(dense.shape)
+        first = tt_svd(dense.copy(), plan)
+        second = tt_svd(dense.copy(), plan)
+        assert first.bond_ranks == second.bond_ranks == (5, 5)
+        for a, b in zip(first.cores, second.cores):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestRandomInit:
     def test_seed_reproducible(self):
@@ -243,6 +255,7 @@ class TestGlorot:
 class TestStats:
     def test_reference_parameter_count(self):
         plan = FactorizationPlan((8, 8, 8), (8, 8, 8), 512, (16, 16))
+        assert plan.parameter_count == 18432
         s = random_tt(plan, 1.0, 0).stats()
         assert s.tt_params == 18432
         assert s.dense_params == 262144
