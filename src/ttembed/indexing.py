@@ -39,8 +39,10 @@ class MixedRadix:
         """Flat index -> digits (i_1..i_N), i_1 fastest; an index array
         gives one digit array per factor."""
         i = np.asarray(i, dtype=np.int64) if np.ndim(i) else int(i)
-        if np.any((i < 0) | (i >= self.capacity)):
-            raise IndexError(f"index {i} out of range [0, {self.capacity})")
+        bad = (i < 0) | (i >= self.capacity)
+        if np.any(bad):
+            first = int(np.ravel(i)[np.ravel(bad)][0])
+            raise IndexError(f"index {first} out of range [0, {self.capacity})")
         digits = [0] * len(self.factors)
         for k in reversed(range(len(self.factors))):
             digits[k], i = divmod(i, self.strides[k])

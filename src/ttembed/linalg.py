@@ -81,6 +81,8 @@ def svd(m: np.ndarray) -> SvdResult:
     if not np.all(np.isfinite(m)):
         raise ValueError("svd input contains non-finite entries")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
+    if u.size == 0:
+        return SvdResult(u=u, singular_values=s, vt=vt)  # no column to sign
     piv = np.argmax(np.abs(u), axis=0)
     flip = u[piv, np.arange(u.shape[1])] < 0.0
     u[:, flip] *= -1.0

@@ -5,16 +5,32 @@ I_1 * ... * I_N >= I (padding allowed on the row side) and
 J_1 * ... * J_N == J (exact) with the factors as balanced as possible.
 "Balanced" is max(factors) - min(factors); ties are broken by the
 smaller (padded) product, then the lexicographically smallest factor
-tuple, so the planner is fully deterministic.  The search is exhaustive
-over candidate products in [size, size * 1.2], which is cheap at the
-sizes this package targets and makes optimality directly testable.
+tuple, so the planner is fully deterministic.
+
+The search is exact branch and bound over ascending factor tuples whose
+product lies in [size, hi], with hi = ceil(size * 1.2) when padding and
+hi = size otherwise.  The smallest factor a runs downward from at most
+c = ceil(size ** (1/n)): either (c,) * n fits under hi and beats every
+tuple with a larger smallest factor, or no such tuple fits.  For each
+prefix only the smallest feasible last factor is tried, since it wins
+on both spread and product.  Once a tuple with spread d is known, no
+other factor may exceed a + d (a tie may still win on product or
+tuple).  A prefix is kept only if some multiple of its product lies in
+[size, hi] (divisibility when hi == size), and the scan over a stops
+when (a + d) ** n < size, as no smaller tuple can reach size.  Every
+cut discards only tuples with a larger key, so the result is the
+optimum of the full enumeration, which the tests check against a
+brute-force oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import prod
+
+import numpy as np
 
 from .linalg import ShapeError
 
@@ -71,28 +87,49 @@ class FactorizationPlan:
         )
 
 
-def _factorizations(s: int, n: int, lo: int):
-    """Ascending n-tuples of factors >= lo with product exactly s."""
-    if n == 1:
-        if s >= lo:
-            yield (s,)
-        return
-    f = lo
-    while f**n <= s:
-        if s % f == 0:
-            for rest in _factorizations(s // f, n - 1, f):
-                yield (f,) + rest
-        f += 1
+def _iroot(x: int, n: int) -> int:
+    """floor(x ** (1/n)) for an integer x >= 0; the float guess is
+    corrected in exact integer arithmetic."""
+    r = int(round(x ** (1.0 / n)))
+    while r**n > x:
+        r -= 1
+    while (r + 1) ** n <= x:
+        r += 1
+    return r
 
 
-def _best_exact(s: int, n: int):
-    lo = 1 if n == 1 else 2
+def _search(size: int, hi: int, n: int):
+    """Least key (max - min, product, factors) over ascending n-tuples
+    (n >= 2) of factors >= 2 whose product lies in [size, hi], or None."""
+    slack = hi - size
     best = None
-    for cand in _factorizations(s, n, lo):
-        key = (cand[-1] - cand[0], cand)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
+    spread = hi  # best[0] once a tuple is found; above any spread before
+
+    def extend(factors, p, m):
+        # complete the prefix `factors` (product p) with m more factors
+        nonlocal best, spread
+        a, f = factors[0], factors[-1]
+        if m == 1:
+            g = max(f, -(-size // p))  # smallest feasible last factor
+            if p * g <= hi:
+                key = (g - a, p * g, factors + (g,))
+                if best is None or key < best:
+                    best, spread = key, key[0]
+            return
+        for f in range(f, _iroot(hi // p, m) + 1):
+            if f > a + spread:
+                break
+            q = p * f
+            if -size % q <= slack:  # some multiple of q lies in [size, hi]
+                extend(factors + (f,), q, m - 1)
+
+    top = min(_iroot(hi, n), _iroot(size - 1, n) + 1)
+    for a in range(top, 1, -1):
+        if (a + spread) ** n < size:
+            break  # every factor of a smaller tuple is at most a + spread
+        if -size % a <= slack:
+            extend((a,), a, n - 1)
+    return best
 
 
 def factorize_balanced(size: int, n: int, allow_padding: bool = False) -> tuple:
@@ -100,25 +137,26 @@ def factorize_balanced(size: int, n: int, allow_padding: bool = False) -> tuple:
     size, n = int(size), int(n)
     if size < 1 or n < 1:
         raise ShapeError("size and n must be >= 1")
+    if n == 1:
+        return (size,)
     hi = math.ceil(size * (1.0 + PAD_SLACK)) if allow_padding else size
-    best = None
-    for s in range(size, hi + 1):
-        cand = _best_exact(s, n)
-        if cand is None:
-            continue
-        key = (cand[-1] - cand[0], s, cand)
-        if best is None or key < best:
-            best = key
-        if best[0] == 0:
-            break  # imbalance 0 at the smallest product so far is optimal
+    best = _search(size, hi, n)
     if best is None:
         what = f"[{size}, {hi}]" if allow_padding else str(size)
         raise ShapeError(f"no {n}-way factorization with factors >= 2 in {what}")
     return best[2]
 
 
+def _as_rank(r) -> int:
+    try:
+        return operator.index(r)
+    except TypeError:
+        raise TypeError(f"rank {r!r} is not an integer") from None
+
+
 def plan_embedding(vocab: int, dim: int, n: int, ranks) -> FactorizationPlan:
-    """Plan a TT-embedding: balanced row/col factors plus broadcast ranks."""
+    """Plan a TT-embedding: balanced row/col factors plus ranks, where an
+    integral scalar rank is broadcast to all n - 1 bonds."""
     vocab, dim, n = int(vocab), int(dim), int(n)
     if vocab < 1:
         raise ShapeError("vocab must be >= 1")
@@ -127,11 +165,13 @@ def plan_embedding(vocab: int, dim: int, n: int, ranks) -> FactorizationPlan:
     except ShapeError as exc:
         raise ShapeError(f"embedding dim {dim} does not factor into {n} parts >= 2") from exc
     row_factors = factorize_balanced(vocab, n, allow_padding=True)
-    if isinstance(ranks, int):
-        ranks = (ranks,) * (n - 1)
+    if np.ndim(ranks) == 0:
+        ranks = (_as_rank(ranks),) * (n - 1)
+    else:
+        ranks = tuple(_as_rank(r) for r in ranks)
     return FactorizationPlan(
         row_factors=row_factors,
         col_factors=col_factors,
         requested_rows=vocab,
-        ranks=tuple(ranks),
+        ranks=ranks,
     )

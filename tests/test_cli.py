@@ -66,6 +66,13 @@ class TestFactorize:
         assert code == 0
         assert out.strip() == "30 30 30"
 
+    def test_padded_large_vocabulary(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "factorize", "--size", "30000000", "--n", "4", "--pad"
+        )
+        assert code == 0
+        assert out.strip() == "75 75 75 75"
+
 
 class TestInitStatsLookup:
     def test_init_stats_roundtrip(self, capsys, tmp_path):

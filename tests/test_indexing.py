@@ -42,6 +42,15 @@ def test_out_of_range():
         r.from_multi((2, 0))
 
 
+def test_out_of_range_batch_names_first_bad_index():
+    r = MixedRadix((2, 3))
+    ids = np.arange(4096)
+    ids[:4] = [5, 0, 9, -3]
+    with pytest.raises(IndexError) as exc:
+        r.to_multi(ids)
+    assert str(exc.value) == "index 9 out of range [0, 6)"
+
+
 def test_bad_factors():
     with pytest.raises(ValueError):
         MixedRadix((2, 0))

@@ -158,6 +158,14 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (3, 0)], ids=["0x3", "0x0", "3x0"])
+    def test_empty_matrix_gives_empty_thin_factors(self, shape):
+        rows, cols = shape
+        res = svd(np.zeros(shape))
+        assert res.u.shape == (rows, 0)
+        assert res.singular_values.shape == (0,)
+        assert res.vt.shape == (0, cols)
+
 
 class TestNumericalRank:
     def test_zero(self):

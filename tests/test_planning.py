@@ -1,4 +1,5 @@
 import math
+import time
 from math import prod
 
 import numpy as np
@@ -81,6 +82,34 @@ def test_matches_oracle_sampled_sizes(n):
         assert prod(got) >= size
 
 
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("allow_padding", [False, True])
+def test_matches_oracle_sampled_sizes_n1_n5(n, allow_padding):
+    rng = np.random.default_rng(10 + n)
+    for size in rng.integers(1, 10_000, size=25):
+        size = int(size)
+        want = oracle_best(size, n, allow_padding)
+        if want is None:
+            with pytest.raises(ShapeError):
+                factorize_balanced(size, n, allow_padding=allow_padding)
+        else:
+            assert factorize_balanced(size, n, allow_padding=allow_padding) == want
+
+
+def test_padded_large_vocabularies():
+    cases = [
+        (25_000, 3, (30, 30, 30)),
+        (100_000, 4, (18,) * 4),
+        (1_000_001, 3, (101,) * 3),
+        (1_048_577, 5, (16, 16, 16, 16, 17)),
+        (30_000_000, 4, (75,) * 4),
+    ]
+    t0 = time.perf_counter()
+    for size, n, want in cases:
+        assert factorize_balanced(size, n, allow_padding=True) == want, (size, n)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_plan_reference_case():
     plan = plan_embedding(512, 512, 3, 16)
     assert plan.row_factors == (8, 8, 8)
@@ -102,6 +131,19 @@ def test_plan_padding():
     assert plan.col_factors == (4, 4, 4)
     assert plan.padded_rows == 1000
     assert plan.requested_rows == 1000
+
+
+def test_plan_accepts_integral_scalar_ranks():
+    assert plan_embedding(512, 512, 3, np.int64(16)).ranks == (16, 16)
+    assert plan_embedding(512, 512, 3, (np.int32(4), 8)).ranks == (4, 8)
+
+
+@pytest.mark.parametrize(
+    "rank", [16.0, np.float64(16.0), (4, 2.5)], ids=["float", "np-float64", "tuple"]
+)
+def test_plan_rejects_non_integral_rank(rank):
+    with pytest.raises(TypeError, match="rank .* is not an integer"):
+        plan_embedding(512, 512, 3, rank)
 
 
 def test_plan_rejects_unfactorable_dim():
