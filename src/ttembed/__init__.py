@@ -3,7 +3,7 @@ exact row evaluation, calibrated initialization, TT-SVD compression,
 analytic gradients, and a small CLI."""
 
 from .indexing import MixedRadix
-from .layers import GradientBuffer, LowRankEmbedding, TTEmbedding, random_lowrank
+from .layers import LowRankEmbedding, TTEmbedding, random_lowrank
 from .linalg import ShapeError, SvdResult, numerical_rank, svd
 from .planning import FactorizationPlan, factorize_balanced, plan_embedding
 from .trmatrix import TRMatrix, circular_shift, random_tr
@@ -19,7 +19,6 @@ from .ttmatrix import (
 __all__ = [
     "CompressionStats",
     "FactorizationPlan",
-    "GradientBuffer",
     "LowRankEmbedding",
     "MixedRadix",
     "ShapeError",

@@ -171,7 +171,7 @@ def gradient_audit(layer, idx, upstream) -> float:
     """Worst relative mismatch between the analytic gradient of
     sum(forward(idx) * upstream) and its central finite difference, over
     every entry of layer.parameters() (perturbed in place and restored)."""
-    grads = layer.backward(idx, upstream).grads
+    grads = layer.backward(idx, upstream)
 
     def total():
         return float(np.sum(layer.forward(idx) * upstream))

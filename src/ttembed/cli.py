@@ -56,7 +56,9 @@ class Printer:
 
 
 def _parse_ranks(text: str):
-    return tuple(int(r) for r in text.split(","))
+    """Comma-separated ranks; a single value is an int, shared by every bond."""
+    ranks = tuple(int(r) for r in text.split(","))
+    return ranks if len(ranks) > 1 else ranks[0]
 
 
 def _parse_int_list(text: str):
@@ -157,8 +159,7 @@ def _cmd_factorize(args, out: Printer) -> int:
 
 
 def _cmd_init(args, out: Printer) -> int:
-    ranks = _parse_ranks(args.ranks)
-    plan = plan_embedding(args.vocab, args.dim, args.n, ranks if len(ranks) > 1 else ranks[0])
+    plan = plan_embedding(args.vocab, args.dim, args.n, _parse_ranks(args.ranks))
     if args.kind == "tt":
         m = glorot_tt(plan, args.seed, std=args.std)
     else:
@@ -173,8 +174,7 @@ def _cmd_init(args, out: Printer) -> int:
 def _cmd_compress(args, out: Printer) -> int:
     dense = load_dmat(args.infile)
     vocab, dim = dense.shape
-    ranks = _parse_ranks(args.ranks)
-    plan = plan_embedding(vocab, dim, args.n, ranks if len(ranks) > 1 else ranks[0])
+    plan = plan_embedding(vocab, dim, args.n, _parse_ranks(args.ranks))
     if plan.padded_rows > vocab:
         dense = np.vstack([dense, np.zeros((plan.padded_rows - vocab, dim))])
     m = tt_svd(dense, plan)
@@ -284,10 +284,7 @@ def _cmd_table(args, out: Printer) -> int:
 def _cmd_train_demo(args, out: Printer) -> int:
     raw = _load_config(args.config)
     ranks = _parse_ranks(raw.get("ranks", "8"))
-    n = int(raw.get("n", 3))
-    plan = plan_embedding(
-        int(raw["vocab"]), int(raw["dim"]), n, ranks if len(ranks) > 1 else ranks[0]
-    )
+    plan = plan_embedding(int(raw["vocab"]), int(raw["dim"]), int(raw.get("n", 3)), ranks)
     cfg = training.TrainConfig(
         plan=plan,
         task=raw.get("task", "matrix-fit"),

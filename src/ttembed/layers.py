@@ -1,10 +1,14 @@
 """Trainable embedding layers.
 
+Both layers start backward from the batch's distinct rows and each
+row's summed upstream.  backward returns one gradient per parameter, as
+a list in the order of parameters(), which apply_gradients takes.
+
 TTEmbedding serves a batch from TT or TR weights (TT is the ring with
 closure rank 1) through their batched chain kernel.  forward contracts
-the distinct rows of the batch; backward sums the upstream of repeated
-rows and lets the kernel build prefix and suffix products for all of
-them at once and add each row's gradient into every core.
+the distinct rows of the batch; backward lets the kernel build prefix
+and suffix products for all distinct rows at once and add each row's
+gradient into every core.
 
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
 """
@@ -14,27 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ShapeError
+from .planning import _as_int
 from .ttmatrix import TTMatrix
-
-
-class GradientBuffer:
-    """Per-core gradient accumulators mirroring the core shapes."""
-
-    def __init__(self, grads, count: int = 0):
-        self.grads = grads
-        self.count = count
-
-    def add(self, other: "GradientBuffer") -> None:
-        if len(other.grads) != len(self.grads):
-            raise ShapeError("gradient buffers have different core counts")
-        for g, o in zip(self.grads, other.grads):
-            if g.shape != o.shape:
-                raise ShapeError("gradient buffer shapes disagree")
-            g += o
-        self.count += other.count
-
-    def scaled(self, factor: float) -> "GradientBuffer":
-        return GradientBuffer(grads=[factor * g for g in self.grads], count=self.count)
 
 
 class _Layer:
@@ -46,22 +31,29 @@ class _Layer:
             raise IndexError(f"index outside vocabulary [0, {self.vocab})")
         return idx
 
-    def _check_upstream(self, idx, upstream) -> np.ndarray:
+    def _summed_upstream(self, indices, upstream):
+        """The batch's distinct rows, sorted, and each row's summed upstream."""
+        idx = self._check_indices(indices)
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (idx.size, self.dim):
             raise ShapeError(
                 f"upstream shape {upstream.shape} != ({idx.size}, {self.dim})"
             )
-        return upstream
+        rows, inverse = np.unique(idx, return_inverse=True)
+        # sum the upstream of repeated rows: bin (row, column) pairs
+        bins = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
+        summed = np.bincount(bins, upstream.ravel(), rows.size * self.dim)
+        return rows, summed.reshape(rows.size, self.dim)
 
-    def apply_gradients(self, buffer: GradientBuffer, step: float) -> None:
-        """In-place SGD step: parameter -= step * grad."""
+    def apply_gradients(self, grads, step: float) -> None:
+        """In-place SGD step: parameter -= step * grad, with grads listed
+        in the order of parameters()."""
         if not np.isfinite(step):
             raise ValueError("step must be finite")
         params = self.parameters()
-        if [p.shape for p in params] != [g.shape for g in buffer.grads]:
-            raise ShapeError("gradient buffer does not match the parameters")
-        for p, g in zip(params, buffer.grads):
+        if [p.shape for p in params] != [g.shape for g in grads]:
+            raise ShapeError("gradients do not match the parameters")
+        for p, g in zip(params, grads):
             p -= step * g
 
 
@@ -72,7 +64,7 @@ class TTEmbedding(_Layer):
         if not isinstance(weights, TTMatrix):
             raise TypeError("weights must be a TTMatrix or TRMatrix")
         self.weights = weights
-        self.vocab = weights.plan.requested_rows if vocab is None else int(vocab)
+        self.vocab = weights.plan.requested_rows if vocab is None else _as_int(vocab, "vocab")
         if not 1 <= self.vocab <= weights.plan.padded_rows:
             raise ShapeError(
                 f"vocab {self.vocab} exceeds padded capacity {weights.plan.padded_rows}"
@@ -92,16 +84,10 @@ class TTEmbedding(_Layer):
         rows, inverse = np.unique(self._check_indices(indices), return_inverse=True)
         return self.weights.rows(rows)[inverse]
 
-    def backward(self, indices, upstream) -> GradientBuffer:
-        """Gradient of sum_b <upstream[b], forward(indices)[b]> w.r.t. cores."""
-        idx = self._check_indices(indices)
-        upstream = self._check_upstream(idx, upstream)
-        rows, inverse = np.unique(idx, return_inverse=True)
-        # sum the upstream of repeated rows: bin (row, column) pairs
-        bins = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
-        summed = np.bincount(bins, upstream.ravel(), rows.size * self.dim)
-        summed = summed.reshape(rows.size, self.dim)
-        return GradientBuffer(self.weights.row_grads(rows, summed), count=int(idx.size))
+    def backward(self, indices, upstream) -> list:
+        """Gradients of sum_b <upstream[b], forward(indices)[b]>, one per core."""
+        rows, summed = self._summed_upstream(indices, upstream)
+        return self.weights.row_grads(rows, summed)
 
 
 class LowRankEmbedding(_Layer):
@@ -133,13 +119,12 @@ class LowRankEmbedding(_Layer):
         idx = self._check_indices(indices)
         return self.u[idx] @ self.v.T
 
-    def backward(self, indices, upstream) -> GradientBuffer:
-        idx = self._check_indices(indices)
-        upstream = self._check_upstream(idx, upstream)
+    def backward(self, indices, upstream) -> list:
+        """Gradients of sum_b <upstream[b], forward(indices)[b]>: [dU, dV]."""
+        rows, summed = self._summed_upstream(indices, upstream)
         du = np.zeros_like(self.u)
-        np.add.at(du, idx, upstream @ self.v)
-        dv = upstream.T @ self.u[idx]
-        return GradientBuffer(grads=[du, dv], count=int(idx.size))
+        du[rows] = summed @ self.v
+        return [du, summed.T @ self.u[rows]]
 
 
 def random_lowrank(vocab: int, dim: int, d: int, std: float, seed: int) -> LowRankEmbedding:

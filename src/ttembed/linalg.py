@@ -20,8 +20,6 @@ __all__ = [
     "ShapeError",
     "SvdResult",
     "reshape",
-    "permute",
-    "matmul",
     "svd",
     "numerical_rank",
 ]
@@ -50,22 +48,6 @@ def reshape(t: np.ndarray, new_dims) -> np.ndarray:
     if int(np.prod(new_dims, dtype=np.int64)) != t.size:
         raise ShapeError(f"cannot reshape size {t.size} into {new_dims}")
     return np.reshape(t, new_dims, order="F")
-
-
-def permute(t: np.ndarray, perm) -> np.ndarray:
-    """Axis permutation: result[idx[perm]] == t[idx]."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(t.ndim)):
-        raise ShapeError(f"{perm} is not a permutation of {t.ndim} axes")
-    return np.transpose(t, perm)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def svd(m: np.ndarray) -> SvdResult:

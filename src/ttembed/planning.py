@@ -37,6 +37,15 @@ from .linalg import ShapeError
 PAD_SLACK = 0.2
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int; a non-integral value (4.5, 4.0, "4") raises a
+    TypeError naming `what` instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class FactorizationPlan:
     row_factors: tuple
@@ -45,11 +54,13 @@ class FactorizationPlan:
     ranks: tuple
 
     def __post_init__(self):
-        rows = tuple(int(f) for f in self.row_factors)
-        cols = tuple(int(f) for f in self.col_factors)
-        ranks = tuple(int(r) for r in self.ranks)
+        rows = tuple(_as_int(f, "row_factors") for f in self.row_factors)
+        cols = tuple(_as_int(f, "col_factors") for f in self.col_factors)
+        ranks = tuple(_as_int(r, "ranks") for r in self.ranks)
+        requested = _as_int(self.requested_rows, "requested_rows")
         object.__setattr__(self, "row_factors", rows)
         object.__setattr__(self, "col_factors", cols)
+        object.__setattr__(self, "requested_rows", requested)
         object.__setattr__(self, "ranks", ranks)
         n = len(rows)
         if n == 0 or len(cols) != n:
@@ -134,7 +145,7 @@ def _search(size: int, hi: int, n: int):
 
 def factorize_balanced(size: int, n: int, allow_padding: bool = False) -> tuple:
     """n near-equal factors with product == size (or >= size when padding)."""
-    size, n = int(size), int(n)
+    size, n = _as_int(size, "size"), _as_int(n, "n")
     if size < 1 or n < 1:
         raise ShapeError("size and n must be >= 1")
     if n == 1:
@@ -147,17 +158,10 @@ def factorize_balanced(size: int, n: int, allow_padding: bool = False) -> tuple:
     return best[2]
 
 
-def _as_rank(r) -> int:
-    try:
-        return operator.index(r)
-    except TypeError:
-        raise TypeError(f"rank {r!r} is not an integer") from None
-
-
 def plan_embedding(vocab: int, dim: int, n: int, ranks) -> FactorizationPlan:
     """Plan a TT-embedding: balanced row/col factors plus ranks, where an
     integral scalar rank is broadcast to all n - 1 bonds."""
-    vocab, dim, n = int(vocab), int(dim), int(n)
+    vocab, dim, n = _as_int(vocab, "vocab"), _as_int(dim, "dim"), _as_int(n, "n")
     if vocab < 1:
         raise ShapeError("vocab must be >= 1")
     try:
@@ -166,9 +170,9 @@ def plan_embedding(vocab: int, dim: int, n: int, ranks) -> FactorizationPlan:
         raise ShapeError(f"embedding dim {dim} does not factor into {n} parts >= 2") from exc
     row_factors = factorize_balanced(vocab, n, allow_padding=True)
     if np.ndim(ranks) == 0:
-        ranks = (_as_rank(ranks),) * (n - 1)
+        ranks = (_as_int(ranks, "rank"),) * (n - 1)
     else:
-        ranks = tuple(_as_rank(r) for r in ranks)
+        ranks = tuple(_as_int(r, "rank") for r in ranks)
     return FactorizationPlan(
         row_factors=row_factors,
         col_factors=col_factors,

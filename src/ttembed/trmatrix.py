@@ -8,10 +8,8 @@ which takes that trace, so R == 1 computes exactly what TT does.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .planning import FactorizationPlan
-from .ttmatrix import TTMatrix
+from .ttmatrix import TTMatrix, _random_cores
 
 
 class TRMatrix(TTMatrix):
@@ -20,17 +18,7 @@ class TRMatrix(TTMatrix):
 
 def random_tr(plan: FactorizationPlan, ring_rank: int, std: float, seed: int) -> TRMatrix:
     """Seeded i.i.d. Normal(0, std^2) cores with ring closure."""
-    if not std > 0.0:
-        raise ValueError("std must be positive")
-    if ring_rank < 1:
-        raise ValueError("ring_rank must be >= 1")
-    rng = np.random.default_rng(seed)
-    ranks = (ring_rank,) + plan.ranks + (ring_rank,)
-    cores = [
-        rng.normal(0.0, std, size=(ranks[k], plan.row_factors[k], plan.col_factors[k], ranks[k + 1]))
-        for k in range(plan.n_cores)
-    ]
-    return TRMatrix(cores=cores, plan=plan)
+    return TRMatrix(cores=_random_cores(plan, ring_rank, std, seed), plan=plan)
 
 
 def circular_shift(m: TRMatrix, s: int) -> TRMatrix:

@@ -195,7 +195,10 @@ class TTMatrix:
 
     def materialize(self, cap: int | None = None) -> np.ndarray:
         """Full dense (padded_rows x cols) matrix; guarded by an entry cap.
-        A chain contracts whole cores; a ring runs the row kernel."""
+        A chain contracts whole cores into an F-ordered result; a ring runs
+        the row kernel.  rows(arange) would give a chain the same entries,
+        but C-ordered, which moves the low-order bits of reductions that
+        callers run on the result."""
         cap = materialize_cap() if cap is None else cap
         rows, cols = self.shape
         if rows * cols > cap:
@@ -218,17 +221,24 @@ class TTMatrix:
         )
 
 
-def random_tt(plan: FactorizationPlan, std: float, seed: int) -> TTMatrix:
-    """Cores with i.i.d. Normal(0, std^2) entries from a seeded generator."""
+def _random_cores(plan: FactorizationPlan, ring_rank: int, std: float, seed: int) -> list:
+    """Cores with i.i.d. Normal(0, std^2) entries from a seeded generator,
+    drawn core by core, and boundary ranks R_0 = R_N = ring_rank."""
     if not std > 0.0:
         raise ValueError("std must be positive")
+    if ring_rank < 1:
+        raise ValueError("ring_rank must be >= 1")
     rng = np.random.default_rng(seed)
-    ranks = (1,) + plan.ranks + (1,)
-    cores = [
+    ranks = (ring_rank,) + plan.ranks + (ring_rank,)
+    return [
         rng.normal(0.0, std, size=(ranks[k], plan.row_factors[k], plan.col_factors[k], ranks[k + 1]))
         for k in range(plan.n_cores)
     ]
-    return TTMatrix(cores=cores, plan=plan)
+
+
+def random_tt(plan: FactorizationPlan, std: float, seed: int) -> TTMatrix:
+    """Cores with i.i.d. Normal(0, std^2) entries from a seeded generator."""
+    return TTMatrix(cores=_random_cores(plan, 1, std, seed), plan=plan)
 
 
 def glorot_tt(plan: FactorizationPlan, seed: int, std: float | None = None) -> TTMatrix:

@@ -4,7 +4,7 @@ from conftest import random_plan
 
 from ttembed.analysis import gradient_audit
 from ttembed.indexing import MixedRadix
-from ttembed.layers import GradientBuffer, LowRankEmbedding, TTEmbedding, random_lowrank
+from ttembed.layers import LowRankEmbedding, TTEmbedding, random_lowrank
 from ttembed.linalg import ShapeError
 from ttembed.planning import FactorizationPlan
 from ttembed.trmatrix import random_tr
@@ -79,13 +79,14 @@ class TestForward:
 
     def test_empty_batch(self):
         plan = FactorizationPlan((2, 3), (3, 2), 6, (2,))
-        for weights in (random_tt(plan, 1.0, 12), random_tr(plan, 3, 1.0, 13)):
-            layer = TTEmbedding(weights)
+        for layer in (TTEmbedding(random_tt(plan, 1.0, 12)),
+                      TTEmbedding(random_tr(plan, 3, 1.0, 13)),
+                      random_lowrank(6, 6, 2, 1.0, 14)):
             assert layer.forward([]).shape == (0, 6)
-            buf = layer.backward([], np.zeros((0, 6)))
-            assert buf.count == 0
-            assert all(g.shape == c.shape and not g.any()
-                       for g, c in zip(buf.grads, weights.cores))
+            grads = layer.backward([], np.zeros((0, 6)))
+            assert len(grads) == len(layer.parameters())
+            assert all(g.shape == p.shape and not g.any()
+                       for g, p in zip(grads, layer.parameters()))
 
 
 class TestBatchedKernel:
@@ -106,7 +107,7 @@ class TestBatchedKernel:
         layer = TTEmbedding(random_tr(plan, ring, 0.8, 17))
         idx = np.array([5, 0, 5, 11, 5, 0, 7])
         upstream = np.random.default_rng(11).standard_normal((7, 12))
-        got = layer.backward(idx, upstream).grads
+        got = layer.backward(idx, upstream)
         for g, want in zip(got, loop_backward(layer.weights, idx, upstream)):
             assert np.allclose(g, want, rtol=1e-12, atol=1e-13)
 
@@ -140,9 +141,10 @@ class TestBackwardTT:
         u = np.random.default_rng(1).standard_normal((1, 4))
         single = layer.backward([1], u)
         double = layer.backward([1, 1], np.vstack([u, u]))
-        for a, b in zip(single.grads, double.grads):
+        for a, b in zip(single, double):
             assert np.allclose(2.0 * a, b)
-        assert double.count == 2
+        for a, b in zip(layer.backward([1], 2.0 * u), double):
+            assert np.array_equal(a, b)  # repeated rows enter as one summed row
 
     def test_shape_validation(self):
         plan = FactorizationPlan((2, 2), (2, 2), 4, (2,))
@@ -195,33 +197,16 @@ class TestApplyGradients:
     def test_mismatched_buffer(self):
         plan = FactorizationPlan((2, 2), (2, 2), 4, (2,))
         layer = TTEmbedding(random_tt(plan, 1.0, 10))
-        bad = GradientBuffer(grads=[np.zeros((1, 2, 2, 2))])
+        bad = [np.zeros((1, 2, 2, 2))]
         with pytest.raises(ShapeError):
             layer.apply_gradients(bad, 0.1)
 
     def test_nonfinite_step(self):
         plan = FactorizationPlan((2, 2), (2, 2), 4, (2,))
         layer = TTEmbedding(random_tt(plan, 1.0, 11))
-        buf = layer.backward([0], np.ones((1, 4)))
+        grads = layer.backward([0], np.ones((1, 4)))
         with pytest.raises(ValueError):
-            layer.apply_gradients(buf, np.nan)
-
-
-class TestGradientBuffer:
-    def test_add_and_scale(self):
-        a = GradientBuffer(grads=[np.ones((2, 2))], count=1)
-        b = GradientBuffer(grads=[2.0 * np.ones((2, 2))], count=3)
-        a.add(b)
-        assert np.all(a.grads[0] == 3.0)
-        assert a.count == 4
-        s = a.scaled(0.5)
-        assert np.all(s.grads[0] == 1.5)
-        assert np.all(a.grads[0] == 3.0)  # scaled() does not mutate
-
-    def test_add_shape_mismatch(self):
-        a = GradientBuffer(grads=[np.ones((2, 2))])
-        with pytest.raises(ShapeError):
-            a.add(GradientBuffer(grads=[np.ones((3, 2))]))
+            layer.apply_gradients(grads, np.nan)
 
 
 class TestLowRank:
@@ -244,14 +229,14 @@ class TestLowRank:
         rng = np.random.default_rng(7)
         idx = np.array([1, 1, 5])
         upstream = rng.standard_normal((3, 4))
-        buf = layer.backward(idx, upstream)
+        grads = layer.backward(idx, upstream)
         du = np.zeros_like(layer.u)
         dv = np.zeros_like(layer.v)
         for b, i in enumerate(idx):
             du[i] += upstream[b] @ layer.v
             dv += np.outer(upstream[b], layer.u[i])
-        assert np.allclose(buf.grads[0], du)
-        assert np.allclose(buf.grads[1], dv)
+        assert np.allclose(grads[0], du)
+        assert np.allclose(grads[1], dv)
 
     def test_oov(self):
         layer = random_lowrank(4, 3, 2, 1.0, 3)

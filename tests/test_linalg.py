@@ -1,9 +1,7 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from ttembed.linalg import ShapeError, matmul, numerical_rank, permute, reshape, svd
+from ttembed.linalg import ShapeError, numerical_rank, reshape, svd
 
 
 class TestReshape:
@@ -38,64 +36,6 @@ class TestReshape:
             t = rng.standard_normal(int(np.prod(dims)))
             back = reshape(reshape(t, dims), (t.size,))
             assert np.array_equal(back, t)
-
-
-class TestPermute:
-    def test_transpose(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((2, 3))
-        mt = permute(m, (1, 0))
-        for i in range(2):
-            for j in range(3):
-                assert mt[j, i] == m[i, j]
-
-    def test_identity_perm(self):
-        m = np.random.default_rng(3).standard_normal((4, 5))
-        assert np.array_equal(permute(m, (0, 1)), m)
-
-    def test_exhaustive_index_math(self):
-        rng = np.random.default_rng(4)
-        t = rng.standard_normal((2, 3, 4))
-        p = permute(t, (2, 0, 1))
-        for i, j, k in itertools.product(range(2), range(3), range(4)):
-            assert p[k, i, j] == t[i, j, k]
-
-    def test_composition(self):
-        rng = np.random.default_rng(5)
-        t = rng.standard_normal((2, 3, 4, 2))
-        p = (2, 0, 3, 1)
-        q = (1, 3, 0, 2)
-        qp = tuple(p[i] for i in q)
-        assert np.array_equal(permute(permute(t, p), q), permute(t, qp))
-
-    def test_invalid(self):
-        with pytest.raises(ShapeError):
-            permute(np.zeros((2, 2)), (0, 0))
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.random.default_rng(6).standard_normal((4, 4))
-        assert np.array_equal(matmul(np.eye(4), a), a)
-
-    def test_scalar(self):
-        assert matmul(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-    def test_vs_triple_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        want = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    want[i, j] += a[i, k] * b[k, j]
-        got = matmul(a, b)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-    def test_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestSvd:

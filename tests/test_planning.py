@@ -5,6 +5,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from ttembed.layers import TTEmbedding
 from ttembed.linalg import ShapeError
 from ttembed.planning import (
     PAD_SLACK,
@@ -12,6 +13,7 @@ from ttembed.planning import (
     factorize_balanced,
     plan_embedding,
 )
+from ttembed.ttmatrix import random_tt
 
 
 def oracle_factorizations(s, n):
@@ -144,6 +146,28 @@ def test_plan_accepts_integral_scalar_ranks():
 def test_plan_rejects_non_integral_rank(rank):
     with pytest.raises(TypeError, match="rank .* is not an integer"):
         plan_embedding(512, 512, 3, rank)
+
+
+@pytest.mark.parametrize("field, build", [
+    ("row_factors", lambda: FactorizationPlan((4.9, 4), (2, 2), 4, (2,))),
+    ("col_factors", lambda: FactorizationPlan((4, 4), (2.5, 2), 4, (2,))),
+    ("requested_rows", lambda: FactorizationPlan((4, 4), (2, 2), 4.5, (2,))),
+    ("ranks", lambda: FactorizationPlan((4, 4), (2, 2), 4, (2.7,))),
+    ("size", lambda: factorize_balanced(25000.9, 3, True)),
+    ("n", lambda: factorize_balanced(25000, 3.0, True)),
+    ("vocab", lambda: plan_embedding(25000.9, 256, 3, 16)),
+    ("dim", lambda: plan_embedding(25000, 256.5, 3, 16)),
+    ("n", lambda: plan_embedding(25000, 256, 3.2, 16)),
+    ("vocab", lambda: TTEmbedding(
+        random_tt(FactorizationPlan((3, 3), (2, 2), 9, (2,)), 1.0, 0), vocab=7.9)),
+], ids=[
+    "plan-row_factors", "plan-col_factors", "plan-requested_rows", "plan-ranks",
+    "factorize-size", "factorize-n", "embedding-vocab", "embedding-dim",
+    "embedding-n", "layer-vocab",
+])
+def test_non_integral_input_raises_naming_the_field(field, build):
+    with pytest.raises(TypeError, match=f"^{field} .* is not an integer"):
+        build()
 
 
 def test_plan_rejects_unfactorable_dim():
