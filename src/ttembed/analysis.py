@@ -3,19 +3,13 @@ compression-vs-rank tables and the finite-difference gradient audit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .linalg import numerical_rank
-from .planning import FactorizationPlan, plan_embedding
-from .ttmatrix import (
-    CompressionStats,
-    core_parameter_count,
-    delta_identity_tt,
-    glorot_tt,
-    random_tt,
-)
+from .planning import FactorizationPlan, _as_int, plan_embedding
+from .ttmatrix import CompressionStats, delta_identity_tt, glorot_tt, random_tt
 
 RANK_CHECK_DIM_CAP = 4096
 FD_STEP = 1e-6  # relative central-difference step, floored at 1 in |p|
@@ -61,7 +55,7 @@ def _rank_report(label, m, tol_factor) -> RankReport:
         row_factors=m.plan.row_factors,
         col_factors=m.plan.col_factors,
         ranks=m.bond_ranks,
-        parameters=core_parameter_count(m.cores),
+        parameters=m.stats().tt_params,
         rows=dense.shape[0],
         cols=dense.shape[1],
         numerical_rank=numerical_rank(dense, tol_factor),
@@ -107,12 +101,8 @@ def init_statistics(
         raise ValueError("draws must be >= 1")
     reports = []
     for t, rank in enumerate(rank_ladder):
-        p = FactorizationPlan(
-            row_factors=plan.row_factors,
-            col_factors=plan.col_factors,
-            requested_rows=plan.requested_rows,
-            ranks=(int(rank),) * (plan.n_cores - 1),
-        )
+        rank = _as_int(rank, "rank")
+        p = replace(plan, ranks=(rank,) * (plan.n_cores - 1))
         chunks = [
             glorot_tt(p, seed + t * draws + d, std=sigma).materialize().ravel()
             for d in range(draws)
@@ -121,7 +111,7 @@ def init_statistics(
         mean, var, kurt = pooled_moments(pooled)
         reports.append(
             InitReport(
-                rank=int(rank),
+                rank=rank,
                 draws=draws,
                 sample_count=pooled.size,
                 target_var=sigma**2,
@@ -149,13 +139,14 @@ def compression_table(vocab: int, dim: int, n: int, rank_ladder):
     equal-budget low-rank baseline (its inner dim D and matrix rank cap)."""
     rows = []
     for rank in rank_ladder:
-        plan = plan_embedding(vocab, dim, n, int(rank))
+        rank = _as_int(rank, "rank")
+        plan = plan_embedding(vocab, dim, n, rank)
         tt_params = plan.parameter_count
         stats = CompressionStats.from_counts(tt_params, plan.padded_rows * plan.cols)
         d = tt_params // (plan.padded_rows + plan.cols)
         rows.append(
             CompressionRow(
-                rank=int(rank),
+                rank=rank,
                 tt_params=tt_params,
                 dense_params=stats.dense_params,
                 ratio=stats.ratio,

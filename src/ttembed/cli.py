@@ -50,10 +50,6 @@ class Printer:
         else:
             print(f"{key} {fmt(value) if not isinstance(value, str) else value}")
 
-    def raw(self, line):
-        if not self.porcelain:
-            print(line)
-
 
 def _parse_ranks(text: str):
     """Comma-separated ranks; a single value is an int, shared by every bond."""
@@ -281,21 +277,23 @@ def _cmd_table(args, out: Printer) -> int:
     return 0
 
 
+# train-demo config keys besides vocab, dim, n and ranks, which make the
+# plan; a key the file leaves out takes the TrainConfig default
+_TRAIN_KEYS = {
+    "task": str, "steps": int, "batch": int, "lr": float, "seed": int,
+    "kind": str, "ring_rank": int, "lowrank_dim": int, "init_std": float,
+}
+
+
 def _cmd_train_demo(args, out: Printer) -> int:
     raw = _load_config(args.config)
+    unknown = sorted(raw.keys() - {"vocab", "dim", "n", "ranks"} - _TRAIN_KEYS.keys())
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     ranks = _parse_ranks(raw.get("ranks", "8"))
     plan = plan_embedding(int(raw["vocab"]), int(raw["dim"]), int(raw.get("n", 3)), ranks)
     cfg = training.TrainConfig(
-        plan=plan,
-        task=raw.get("task", "matrix-fit"),
-        steps=int(raw.get("steps", 1000)),
-        batch=int(raw.get("batch", 16)),
-        lr=float(raw.get("lr", 0.05)),
-        seed=int(raw.get("seed", 0)),
-        kind=raw.get("kind", "tt"),
-        ring_rank=int(raw.get("ring_rank", 2)),
-        lowrank_dim=int(raw.get("lowrank_dim", 8)),
-        init_std=float(raw["init_std"]) if "init_std" in raw else None,
+        plan=plan, **{k: conv(raw[k]) for k, conv in _TRAIN_KEYS.items() if k in raw}
     )
     trace = training.run(cfg)
     out.kv("steps", len(trace.losses))

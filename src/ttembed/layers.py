@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ShapeError
-from .planning import _as_int
+from .planning import _as_int, _as_int_array
 from .ttmatrix import TTMatrix
 
 
@@ -26,7 +26,7 @@ class _Layer:
     """Checks and the SGD step shared by the embedding layers."""
 
     def _check_indices(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64).ravel()
+        idx = _as_int_array(indices, "indices").ravel()
         if idx.size and (idx.min() < 0 or idx.max() >= self.vocab):
             raise IndexError(f"index outside vocabulary [0, {self.vocab})")
         return idx
@@ -44,6 +44,9 @@ class _Layer:
         bins = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
         summed = np.bincount(bins, upstream.ravel(), rows.size * self.dim)
         return rows, summed.reshape(rows.size, self.dim)
+
+    def parameter_count(self) -> int:
+        return sum(p.size for p in self.parameters())
 
     def apply_gradients(self, grads, step: float) -> None:
         """In-place SGD step: parameter -= step * grad, with grads listed
@@ -77,9 +80,6 @@ class TTEmbedding(_Layer):
     def parameters(self) -> list:
         return self.weights.cores
 
-    def parameter_count(self) -> int:
-        return self.weights.stats().tt_params
-
     def forward(self, indices) -> np.ndarray:
         rows, inverse = np.unique(self._check_indices(indices), return_inverse=True)
         return self.weights.rows(rows)[inverse]
@@ -108,9 +108,6 @@ class LowRankEmbedding(_Layer):
 
     def parameters(self) -> list:
         return [self.u, self.v]
-
-    def parameter_count(self) -> int:
-        return self.u.size + self.v.size
 
     def materialize(self) -> np.ndarray:
         return self.u @ self.v.T

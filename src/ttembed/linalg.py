@@ -1,10 +1,4 @@
-"""Dense tensor/matrix kernels used by every other module.
-
-Index convention: column-major, i.e. the *first* index varies fastest.
-All reshapes in this package go through :func:`reshape` (or pass
-``order="F"`` to numpy directly) so that reinterpreting dimensions never
-reorders the underlying flat data.  Serialization converts to row-major
-at the file boundary (see :mod:`ttembed.fileformat`).
+"""Shape errors, the SVD and the numerical rank used by every other module.
 
 The SVD is numpy's LAPACK driver.  A fixed sign convention on top makes
 its factors independent of the signs the driver happens to pick.
@@ -19,7 +13,6 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "SvdResult",
-    "reshape",
     "svd",
     "numerical_rank",
 ]
@@ -38,16 +31,6 @@ class SvdResult:
     u: np.ndarray
     singular_values: np.ndarray
     vt: np.ndarray
-
-
-def reshape(t: np.ndarray, new_dims) -> np.ndarray:
-    """Reinterpret dims of `t` without reordering its column-major data."""
-    new_dims = tuple(int(d) for d in new_dims)
-    if any(d <= 0 for d in new_dims):
-        raise ShapeError(f"non-positive extent in {new_dims}")
-    if int(np.prod(new_dims, dtype=np.int64)) != t.size:
-        raise ShapeError(f"cannot reshape size {t.size} into {new_dims}")
-    return np.reshape(t, new_dims, order="F")
 
 
 def svd(m: np.ndarray) -> SvdResult:

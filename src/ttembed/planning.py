@@ -46,6 +46,15 @@ def _as_int(value, what: str) -> int:
         raise TypeError(f"{what} {value!r} is not an integer") from None
 
 
+def _as_int_array(values, what: str) -> np.ndarray:
+    """values as an int64 array; floats or bools raise a TypeError naming
+    `what`, except in an empty sequence, which has no value to truncate."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(f"{what} of dtype {arr.dtype} are not integers")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class FactorizationPlan:
     row_factors: tuple

@@ -10,14 +10,13 @@ where (i_1..i_N) and (j_1..j_N) are the mixed-radix digits of i and j
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
 
 from .indexing import MixedRadix
-from .linalg import ShapeError, reshape, svd
+from .linalg import ShapeError, svd
 from .planning import FactorizationPlan
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
@@ -37,10 +36,6 @@ def materialize_cap() -> int:
         ) from None
 
 
-def core_parameter_count(cores) -> int:
-    return sum(c.size for c in cores)
-
-
 @dataclass(frozen=True)
 class CompressionStats:
     tt_params: int
@@ -50,8 +45,8 @@ class CompressionStats:
 
     @classmethod
     def from_counts(cls, tt_params: int, dense_params: int) -> "CompressionStats":
-        ratio = Fraction(dense_params, tt_params)
-        return cls(tt_params, dense_params, float(ratio), float(ratio / 2))
+        ratio = dense_params / tt_params  # int / int is correctly rounded
+        return cls(tt_params, dense_params, ratio, dense_params / (2 * tt_params))
 
 
 def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
@@ -67,9 +62,9 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
             )
         if not np.all(np.isfinite(c)):
             raise ValueError(f"core {k} contains non-finite entries")
-    for k in range(len(cores) - 1):
-        if cores[k].shape[3] != cores[k + 1].shape[0]:
-            raise ShapeError(f"rank mismatch between cores {k} and {k + 1}")
+    for k, r in enumerate(plan.ranks):
+        if cores[k].shape[3] != r or cores[k + 1].shape[0] != r:
+            raise ShapeError(f"bond {k} between cores {k} and {k + 1} is not plan rank {r}")
     first, last = cores[0].shape[0], cores[-1].shape[3]
     if ring:
         if first != last:
@@ -91,7 +86,7 @@ class TTMatrix:
 
     @property
     def bond_ranks(self) -> tuple:
-        """Actual ranks of the chain (may be below plan.ranks after tt_svd)."""
+        """Ranks R_1..R_{N-1} of the chain; the cores match plan.ranks."""
         return tuple(c.shape[3] for c in self.cores[:-1])
 
     @property
@@ -115,11 +110,10 @@ class TTMatrix:
         """Yield (rows, their digits) for blocks of the rows at `indices`
         whose intermediates, about c * R_{k-1} * J_k * R_k entries a row,
         stay small enough for the allocator to reuse."""
-        idx = np.asarray(indices, dtype=np.int64).ravel()
-        digits = MixedRadix(self.plan.row_factors).to_multi(idx)
+        digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
         per_row = self.ring_rank * max(c.size // c.shape[1] for c in self.cores)
         step = max(1, KERNEL_BLOCK // per_row)
-        for s in range(0, idx.size, step):
+        for s in range(0, digits[0].size, step):
             yield slice(s, s + step), [x[s : s + step] for x in digits]
 
     def _slices(self, k: int, digits) -> np.ndarray:
@@ -213,11 +207,11 @@ class TTMatrix:
         acc = acc[..., 0]  # dims (I_1, J_1, ..., I_N, J_N)
         n = len(self.cores)
         perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        return reshape(np.transpose(acc, perm), (rows, cols))
+        return np.transpose(acc, perm).reshape((rows, cols), order="F")
 
     def stats(self) -> CompressionStats:
         return CompressionStats.from_counts(
-            core_parameter_count(self.cores), self.plan.padded_rows * self.plan.cols
+            sum(c.size for c in self.cores), self.plan.padded_rows * self.plan.cols
         )
 
 
@@ -267,13 +261,14 @@ def delta_identity_tt(plan: FactorizationPlan) -> TTMatrix:
         d = min(ik, jk)
         c[0, range(d), range(d), 0] = 1.0
         cores.append(c)
-    return TTMatrix(cores=cores, plan=plan)
+    return TTMatrix(cores=cores, plan=replace(plan, ranks=(1,) * (plan.n_cores - 1)))
 
 
 def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
     """Compress a dense (padded_rows x cols) matrix by sequential
     truncated SVDs; ranks are capped at plan.ranks and at the numerical
-    rank of each unfolding (tiny singular values are always dropped)."""
+    rank of each unfolding (tiny singular values are always dropped).
+    The result's plan carries the ranks kept."""
     dense = np.asarray(dense, dtype=np.float64)
     n = plan.n_cores
     if dense.shape != (plan.padded_rows, plan.cols):
@@ -281,14 +276,14 @@ def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
             f"matrix shape {dense.shape} disagrees with plan "
             f"({plan.padded_rows}, {plan.cols})"
         )
-    t = reshape(dense, plan.row_factors + plan.col_factors)
+    t = dense.reshape(plan.row_factors + plan.col_factors, order="F")
     interleave = [ax for k in range(n) for ax in (k, n + k)]
     rest = np.transpose(t, interleave)
     cores = []
     r = 1
     for k in range(n - 1):
         ik, jk = plan.row_factors[k], plan.col_factors[k]
-        mat = reshape(rest, (r * ik * jk, rest.size // (r * ik * jk)))
+        mat = rest.reshape((r * ik * jk, -1), order="F")
         res = svd(mat)
         smax = res.singular_values[0] if res.singular_values.size else 0.0
         thresh = TT_SVD_TRUNCATION_TOL * smax * max(mat.shape)
@@ -299,8 +294,9 @@ def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
             r = 1
             continue
         rank = min(plan.ranks[k], nrank)
-        cores.append(reshape(res.u[:, :rank], (r, ik, jk, rank)))
+        cores.append(res.u[:, :rank].reshape((r, ik, jk, rank), order="F"))
         rest = res.singular_values[:rank, None] * res.vt[:rank, :]
         r = rank
-    cores.append(reshape(rest, (r, plan.row_factors[-1], plan.col_factors[-1], 1)))
-    return TTMatrix(cores=cores, plan=plan)
+    cores.append(rest.reshape((r, plan.row_factors[-1], plan.col_factors[-1], 1), order="F"))
+    kept = tuple(c.shape[3] for c in cores[:-1])
+    return TTMatrix(cores=cores, plan=replace(plan, ranks=kept))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ class TestInitStatsLookup:
                 "--ranks", "4", "--seed", "9", "--out", path,
             )
             assert code == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_lookup_matches_library(self, capsys, tmp_path):
         model = str(tmp_path / "m.tte")
@@ -275,6 +277,13 @@ class TestTrainDemo:
         code, _, err = run_cli(capsys, "train-demo", "--config", str(path))
         assert code == 2
         assert "key=value" in err
+
+    def test_unknown_key_rejected(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, vocab=16, dim=16, n=2, ranks=2, setps=5)
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "unknown config keys: setps" in err
 
     def test_toy_classify(self, capsys, tmp_path):
         cfg = self.write_config(

@@ -1,41 +1,7 @@
 import numpy as np
 import pytest
 
-from ttembed.linalg import ShapeError, numerical_rank, reshape, svd
-
-
-class TestReshape:
-    def test_column_major_semantics(self):
-        t = np.reshape(np.arange(6.0), (6,), order="F")
-        m = reshape(t, (2, 3))
-        # first index fastest: flat 1 + 2*2 = 5
-        assert m[1, 2] == 5.0
-
-    def test_roundtrip_identity(self):
-        t = np.arange(6.0)
-        back = reshape(reshape(t, (2, 3)), (6,))
-        assert np.array_equal(back, t)
-
-    def test_flatten_matches_enumeration(self):
-        rng = np.random.default_rng(0)
-        t = reshape(rng.standard_normal(8), (2, 2, 2))
-        flat = reshape(t, (8,))
-        for k in range(8):
-            i1, i2, i3 = k % 2, (k // 2) % 2, k // 4
-            assert flat[k] == t[i1, i2, i3]
-
-    def test_size_mismatch(self):
-        with pytest.raises(ShapeError):
-            reshape(np.arange(6.0), (2, 2))
-
-    def test_roundtrip_random_dims(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            order = int(rng.integers(1, 7))
-            dims = tuple(int(rng.integers(1, 4)) for _ in range(order))
-            t = rng.standard_normal(int(np.prod(dims)))
-            back = reshape(reshape(t, dims), (t.size,))
-            assert np.array_equal(back, t)
+from ttembed.linalg import numerical_rank, svd
 
 
 class TestSvd:

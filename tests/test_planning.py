@@ -5,6 +5,8 @@ from math import prod
 import numpy as np
 import pytest
 
+from ttembed.analysis import compression_table, init_statistics
+from ttembed.indexing import MixedRadix
 from ttembed.layers import TTEmbedding
 from ttembed.linalg import ShapeError
 from ttembed.planning import (
@@ -168,6 +170,29 @@ def test_plan_rejects_non_integral_rank(rank):
 def test_non_integral_input_raises_naming_the_field(field, build):
     with pytest.raises(TypeError, match=f"^{field} .* is not an integer"):
         build()
+
+
+_SMALL = FactorizationPlan((3, 3), (2, 2), 9, (2,))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("indices", lambda: TTEmbedding(random_tt(_SMALL, 1.0, 0)).forward([2.7, 0.9])),
+    ("indices", lambda: random_tt(_SMALL, 1.0, 0).rows([1.5])),
+    ("factors", lambda: MixedRadix((2.5, 3))),
+    ("index", lambda: MixedRadix((2, 3)).to_multi(4.9)),
+    ("indices", lambda: MixedRadix((2, 3)).to_multi([4.9])),
+    ("digit", lambda: MixedRadix((2, 3)).from_multi((1.9, 2.2))),
+    ("index", lambda: random_tt(_SMALL, 1.0, 0).element(1.9, 0)),
+    ("rank", lambda: compression_table(512, 512, 3, [2.5])),
+    ("rank", lambda: init_statistics(_SMALL, [2.5], 1)),
+], ids=[
+    "layer-forward", "matrix-rows", "radix-factors", "radix-to_multi",
+    "radix-to_multi-array", "radix-from_multi", "matrix-element",
+    "compression_table", "init_statistics",
+])
+def test_non_integer_index_or_rank_raises_naming_it(name, call):
+    with pytest.raises(TypeError, match=f"^{name} .* integer"):
+        call()
 
 
 def test_plan_rejects_unfactorable_dim():

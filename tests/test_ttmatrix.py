@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_plan, random_tt_from
 
+from ttembed.fileformat import load_tt, save_tt
 from ttembed.linalg import ShapeError
 from ttembed.planning import FactorizationPlan
 from ttembed.ttmatrix import (
@@ -187,6 +188,16 @@ class TestTTSvd:
         for a, b in zip(first.cores, second.cores):
             assert a.tobytes() == b.tobytes()
 
+    def test_truncated_plan_carries_kept_ranks(self, tmp_path):
+        rng = np.random.default_rng(9)
+        rank3 = FactorizationPlan((4, 4, 4), (4, 4, 4), 64, (3, 3))
+        dense = random_tt_from(rng, rank3).materialize()
+        m = tt_svd(dense, FactorizationPlan((4, 4, 4), (4, 4, 4), 64, (16, 16)))
+        assert m.plan.ranks == m.bond_ranks == (3, 3)
+        assert m.plan.parameter_count == m.stats().tt_params == 240
+        save_tt(tmp_path / "m.tte", m)
+        assert load_tt(tmp_path / "m.tte").plan == m.plan
+
 
 class TestRandomInit:
     def test_seed_reproducible(self):
@@ -287,6 +298,12 @@ class TestValidation:
         plan = FactorizationPlan((2, 2), (2, 2), 4, (2,))
         cores = [np.zeros((1, 2, 2, 3)), np.zeros((2, 2, 2, 1))]
         with pytest.raises(ShapeError):
+            TTMatrix(cores=cores, plan=plan)
+
+    def test_core_ranks_must_match_plan(self):
+        plan = FactorizationPlan((2, 2), (2, 2), 4, (7,))
+        cores = [np.zeros((1, 2, 2, 1)), np.zeros((1, 2, 2, 1))]
+        with pytest.raises(ShapeError, match="bond 0 between cores 0 and 1"):
             TTMatrix(cores=cores, plan=plan)
 
     def test_nonfinite_rejected(self):
