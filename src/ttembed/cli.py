@@ -290,6 +290,9 @@ def _cmd_train_demo(args, out: Printer) -> int:
     unknown = sorted(raw.keys() - {"vocab", "dim", "n", "ranks"} - _TRAIN_KEYS.keys())
     if unknown:
         raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+    missing = [k for k in ("vocab", "dim") if k not in raw]
+    if missing:
+        raise ValueError(f"{args.config}: missing config keys: {', '.join(missing)}")
     ranks = _parse_ranks(raw.get("ranks", "8"))
     plan = plan_embedding(int(raw["vocab"]), int(raw["dim"]), int(raw.get("n", 3)), ranks)
     cfg = training.TrainConfig(

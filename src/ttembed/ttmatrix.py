@@ -136,8 +136,24 @@ class TTMatrix:
         yield acc
 
     def rows(self, indices) -> np.ndarray:
-        """Rows at an index array, (B, cols), one batched matmul per core.
-        The last also contracts c, which takes the trace."""
+        """Rows at an index array, (B, cols), by one of two kernels.
+
+        The chain kernel runs one batched matmul per core; the last also
+        contracts c, which takes the trace.  The half kernel splits the
+        chain after core s, builds the products of cores 1..s and s+1..N
+        over all their digit combinations (one GEMM per core, rebuilt on
+        every call), and serves each row as one
+        (J_{s+1}..J_N, c R_s) @ (c R_s, J_1..J_s) product.  half_split
+        picks s per call, or the chain: a split qualifies only when its
+        table GEMMs plus the row products cost fewer flops than the chain
+        for the batch and its tables hold at most B * cols entries, the
+        size of the result; the least-flop one wins.  The kernels associate
+        the products differently, so a row's last bits may differ between
+        batches that take different kernels; a given config always makes
+        the same choices, so its results stay bitwise reproducible."""
+        s = half_split(self, np.size(indices))
+        if s:
+            return half_rows(self, indices, s)
         c = self.ring_rank
         out = np.empty((np.size(indices), self.plan.cols))
         for blk, d in self._blocks(indices):
@@ -213,6 +229,82 @@ class TTMatrix:
         return CompressionStats.from_counts(
             sum(c.size for c in self.cores), self.plan.padded_rows * self.plan.cols
         )
+
+
+def _chain_row_flops(m: TTMatrix) -> int:
+    """Flops of one row on the chain kernel: core k multiplies a
+    (c * J_1..J_{k-1}, R_{k-1}) prefix by a (R_{k-1}, J_k * R_k) slice, and
+    the last contracts c into the trace."""
+    flops, p = 0, m.ring_rank
+    for k, (r, _, j, rn) in enumerate(g.shape for g in m.cores):
+        flops += 2 * p * r * j * (rn if k < len(m.cores) - 1 else 1)
+        p *= j
+    return flops
+
+
+def half_split(m: TTMatrix, b: int) -> int:
+    """The split s (cores 1..s | s+1..N) whose half kernel serves b rows in
+    the fewest flops, or 0 for the chain kernel.  A split qualifies when
+    its table GEMMs plus b row products cost fewer flops than b chain rows
+    and its two tables hold at most b * cols entries."""
+    shapes = [g.shape for g in m.cores]
+    cols = m.plan.cols
+    best, least = 0, b * _chain_row_flops(m)
+    for s in range(1, len(shapes)):
+        flops = 0
+        left = shapes[0][0] * shapes[0][1] * shapes[0][2]  # c * I_L * J_L
+        for r, i, j, rn in shapes[1:s]:
+            flops += 2 * left * r * i * j * rn
+            left *= i * j
+        right = shapes[-1][1] * shapes[-1][2] * shapes[-1][3]  # I_R * J_R * c
+        for r, i, j, rn in reversed(shapes[s:-1]):
+            flops += 2 * r * i * j * rn * right
+            right *= i * j
+        flops += b * 2 * cols * m.ring_rank * shapes[s][0]  # the row GEMMs
+        if (left + right) * shapes[s][0] <= b * cols and flops < least:
+            best, least = s, flops
+    return best
+
+
+def half_tables(m: TTMatrix, s: int) -> tuple:
+    """The products of cores 1..s and s+1..N over all digit combinations
+    of each half: ltab (I_L, c * R_s, J_L) and rtab (I_R, J_R, c * R_s),
+    with I_L = I_1..I_s and so on.  Each core costs one GEMM and a
+    transpose that keeps the half's first digit fastest."""
+    left = m.cores[0]  # (c, I_L, J_L, R_k)
+    for g in m.cores[1:s]:
+        a, il, jl, r = left.shape
+        _, ik, jk, rn = g.shape
+        nxt = (left.reshape(-1, r) @ g.reshape(r, -1)).reshape(a, il, jl, ik, jk, rn)
+        left = nxt.transpose(0, 3, 1, 4, 2, 5).reshape(a, ik * il, jk * jl, rn)
+    right = m.cores[-1]  # (R_k, I_R, J_R, c)
+    for g in reversed(m.cores[s:-1]):
+        r, ik, jk, rn = g.shape
+        _, ir, jr, a = right.shape
+        nxt = (g.reshape(-1, rn) @ right.reshape(rn, -1)).reshape(r, ik, jk, ir, jr, a)
+        right = nxt.transpose(0, 3, 1, 4, 2, 5).reshape(r, ir * ik, jr * jk, a)
+    a, il, jl, r = left.shape
+    ltab = left.transpose(1, 0, 3, 2).reshape(il, a * r, jl)
+    rtab = right.transpose(1, 2, 3, 0).reshape(right.shape[1], right.shape[2], a * r)
+    return ltab, rtab
+
+
+def half_rows(m: TTMatrix, indices, s: int) -> np.ndarray:
+    """Rows at an index array, (B, cols), from the half tables of split s:
+    row i is rtab[i_R] @ ltab[i_L], whose C-order (J_R, J_L) layout is the
+    row's, j_1 fastest.  Rows are gathered and multiplied in blocks."""
+    factors = m.plan.row_factors
+    digits = MixedRadix(factors).to_multi(np.ravel(indices))
+    il = np.ravel_multi_index(digits[:s], factors[:s], order="F")
+    ir = np.ravel_multi_index(digits[s:], factors[s:], order="F")
+    ltab, rtab = half_tables(m, s)
+    out = np.empty((il.size, m.plan.cols))
+    prods = out.reshape(il.size, rtab.shape[1], ltab.shape[2])
+    step = max(1, KERNEL_BLOCK // (ltab[0].size + rtab[0].size + m.plan.cols))
+    for a in range(0, il.size, step):
+        blk = slice(a, a + step)
+        np.matmul(np.take(rtab, ir[blk], axis=0), np.take(ltab, il[blk], axis=0), out=prods[blk])
+    return out
 
 
 def _random_cores(plan: FactorizationPlan, ring_rank: int, std: float, seed: int) -> list:

@@ -285,6 +285,15 @@ class TestTrainDemo:
         assert out == ""
         assert "unknown config keys: setps" in err
 
+    def test_missing_key_rejected(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, dim=16, steps=2)
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "missing config keys: vocab" in err
+        cfg = self.write_config(tmp_path, steps=2)
+        assert "missing config keys: vocab, dim" in run_cli(capsys, "train-demo", "--config", cfg)[2]
+
     def test_toy_classify(self, capsys, tmp_path):
         cfg = self.write_config(
             tmp_path, task="toy-classify", vocab=16, dim=8, n=2, ranks=2,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import random_plan
 
+from ttembed import ttmatrix
 from ttembed.analysis import gradient_audit
 from ttembed.indexing import MixedRadix
 from ttembed.layers import LowRankEmbedding, TTEmbedding, random_lowrank
@@ -23,6 +24,29 @@ def single_row(m, i):
         nxt = (acc @ g.reshape(r, jk * rk)).reshape(p, jk, rk)
         acc = nxt.transpose(1, 0, 2).reshape(jk * p, rk)
     return acc[:, 0]
+
+
+def single_row_halves(m, i, s):
+    """Row i of the chain split after core s: each half contracted one core
+    slice at a time, then one matrix product, the op sequence the half
+    kernel must reproduce bit for bit."""
+    ii = MixedRadix(m.plan.row_factors).to_multi(i)
+    left = m.cores[0][:, ii[0]]  # (c, J_1..J_k, R_k)
+    for k in range(1, s):
+        g = m.cores[k][:, ii[k]]
+        a, p, r = left.shape
+        nxt = (left.reshape(a * p, r) @ g.reshape(r, -1)).reshape(a, p, *g.shape[1:])
+        left = nxt.transpose(0, 2, 1, 3).reshape(a, -1, g.shape[2])
+    right = m.cores[-1][:, ii[-1]]  # (R_k, J_{k+1}..J_N, c)
+    for k in reversed(range(s, len(m.cores) - 1)):
+        g = m.cores[k][:, ii[k]]
+        r, jk, rn = g.shape
+        _, q, a = right.shape
+        nxt = (g.reshape(r * jk, rn) @ right.reshape(rn, q * a)).reshape(r, jk, q, a)
+        right = nxt.transpose(0, 2, 1, 3).reshape(r, q * jk, a)
+    a, p, r = left.shape
+    rmat = right.transpose(1, 2, 0).reshape(-1, a * r)  # (J_{s+1}..J_N, c R_s)
+    return (rmat @ left.transpose(0, 2, 1).reshape(a * r, p)).ravel()
 
 
 def loop_backward(m, idx, upstream):
@@ -89,17 +113,45 @@ class TestForward:
                        for g, p in zip(grads, layer.parameters()))
 
 
+KERNEL_PLANS = [
+    FactorizationPlan((7,), (5,), 7, ()),
+    FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 2)),
+    FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2)),
+]
+
+
+def kernel_case(plan):
+    layer = TTEmbedding(glorot_tt(plan, 14, std=1.0))
+    return layer, np.random.default_rng(8).integers(layer.vocab, size=40)
+
+
 class TestBatchedKernel:
-    @pytest.mark.parametrize("plan", [
-        FactorizationPlan((7,), (5,), 7, ()),
-        FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 2)),
-        FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2)),
-    ])
-    def test_tt_forward_bitwise_equals_row_loop(self, plan):
-        layer = TTEmbedding(glorot_tt(plan, 14, std=1.0))
-        idx = np.random.default_rng(8).integers(layer.vocab, size=40)
+    @pytest.mark.parametrize("plan", KERNEL_PLANS)
+    def test_tt_forward_bitwise_equals_row_loop(self, plan, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)  # the chain kernel
+        layer, idx = kernel_case(plan)
         want = np.stack([single_row(layer.weights, int(i)) for i in idx])
         assert layer.forward(idx).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("plan", KERNEL_PLANS[1:])
+    def test_tt_forward_halves_bitwise_equal_half_loop(self, plan, monkeypatch):
+        layer, idx = kernel_case(plan)
+        assert ttmatrix.half_split(layer.weights, np.unique(idx).size) == 2
+        for s in range(1, plan.n_cores):
+            if s != 2:  # force the other splits
+                monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: s)
+            want = np.stack([single_row_halves(layer.weights, int(i), s) for i in idx])
+            assert layer.forward(idx).tobytes() == want.tobytes()
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("plan", KERNEL_PLANS[1:])
+    def test_chain_and_halves_agree(self, plan):
+        layer, idx = kernel_case(plan)
+        m = layer.weights
+        chain = np.stack([single_row(m, int(i)) for i in idx])
+        for s in range(1, plan.n_cores):
+            err = np.linalg.norm(ttmatrix.half_rows(m, idx, s) - chain, axis=1)
+            assert np.all(err <= 1e-13 * np.linalg.norm(chain, axis=1))
 
     @pytest.mark.parametrize("ring", [1, 4])
     def test_backward_matches_item_loop(self, ring):

@@ -3,14 +3,19 @@ import pytest
 from conftest import random_plan, random_tt_from
 
 from ttembed.fileformat import load_tt, save_tt
+from ttembed import ttmatrix
 from ttembed.linalg import ShapeError
-from ttembed.planning import FactorizationPlan
+from ttembed.planning import FactorizationPlan, plan_embedding
+from ttembed.trmatrix import random_tr
 from ttembed.ttmatrix import (
     MATERIALIZE_CAP_ENV,
     CompressionStats,
     TTMatrix,
     delta_identity_tt,
     glorot_tt,
+    half_rows,
+    half_split,
+    half_tables,
     random_tt,
     tt_svd,
 )
@@ -82,6 +87,102 @@ class TestRow:
             row = m.row(i)
             for j in range(36):
                 assert row[j] == pytest.approx(m.element(i, j), rel=1e-12, abs=1e-14)
+
+
+HALF_PLANS = [
+    FactorizationPlan((2, 3), (3, 2), 6, (2,)),
+    FactorizationPlan((3, 2, 2), (2, 2, 3), 12, (3, 2)),
+    FactorizationPlan((2, 3, 2, 2), (2, 2, 3, 2), 24, (2, 3, 2)),
+]
+
+
+def half_models(plan):
+    """The TT chain and the TR rings of closure rank 1 and 3 on a plan."""
+    return [random_tt(plan, 1.0, 30), random_tr(plan, 1, 1.0, 31), random_tr(plan, 3, 1.0, 32)]
+
+
+class TestHalfKernel:
+    @pytest.mark.parametrize("plan", HALF_PLANS)
+    def test_every_split_matches_element(self, plan):
+        idx = np.arange(plan.padded_rows)[::-1]
+        for m in half_models(plan):
+            for s in range(1, plan.n_cores):
+                rows = half_rows(m, idx, s)
+                for b, i in enumerate(idx):
+                    for j in range(plan.cols):
+                        assert rows[b, j] == pytest.approx(
+                            m.element(int(i), j), rel=1e-12, abs=1e-14
+                        )
+
+    def test_table_layout(self):
+        plan = HALF_PLANS[2]
+        for m in half_models(plan):
+            ltab, rtab = half_tables(m, 2)
+            c = m.ring_rank * plan.ranks[1]
+            assert ltab.shape == (6, c, 4) and rtab.shape == (4, 6, c)
+
+    def test_empty_batch(self):
+        plan = HALF_PLANS[1]
+        m = random_tr(plan, 3, 1.0, 33)
+        assert half_split(m, 0) == 0
+        assert m.rows([]).shape == (0, 12)
+        for s in (1, 2):
+            assert half_rows(m, [], s).shape == (0, 12)
+
+    def test_single_core_takes_the_chain(self):
+        m = random_tr(FactorizationPlan((7,), (5,), 7, ()), 2, 1.0, 34)
+        assert all(half_split(m, b) == 0 for b in (0, 1, 7, 10**6))
+        assert m.rows(np.arange(7)).shape == (7, 5)
+
+    def test_index_errors(self):
+        m = random_tt(HALF_PLANS[0], 1.0, 35)
+        with pytest.raises(IndexError, match=r"index 9 out of range \[0, 6\)"):
+            half_rows(m, [1, 9], 1)
+        with pytest.raises(TypeError, match="indices of dtype float64 are not integers"):
+            half_rows(m, np.array([1.0, 2.0]), 1)
+
+    def test_blocks_do_not_change_rows(self, monkeypatch):
+        plan = HALF_PLANS[2]
+        idx = np.random.default_rng(36).integers(plan.padded_rows, size=50)
+        for m in half_models(plan):
+            for s in (1, 2, 3):
+                whole = half_rows(m, idx, s)
+                ltab, rtab = half_tables(m, s)
+                per_row = ltab[0].size + rtab[0].size + plan.cols
+                monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", 7 * per_row)  # blocks of 7
+                assert half_rows(m, idx, s).tobytes() == whole.tobytes()
+                monkeypatch.undo()
+
+
+class TestHalfDispatch:
+    """The bench shapes: half_split picks the kernel from the plan, the
+    ranks and the number of distinct rows."""
+
+    def test_lookup_shape_takes_halves(self):
+        m = glorot_tt(plan_embedding(100000, 64, 4, 8), seed=0)
+        assert half_split(m, 1514) == 2
+
+    def test_train_shapes_take_the_chain(self):
+        assert half_split(glorot_tt(plan_embedding(25000, 256, 3, 16), seed=0), 254) == 0
+        ring = random_tr(plan_embedding(512, 512, 3, 16), 4, 0.1, 0)
+        assert half_split(ring, 40) == 0
+        assert half_split(ring, 512) == 0  # materialize of the ring
+
+    def test_tables_stay_within_the_result(self):
+        models = [
+            glorot_tt(plan_embedding(100000, 64, 4, 8), seed=0),
+            glorot_tt(plan_embedding(25000, 256, 3, 16), seed=0),
+            random_tr(plan_embedding(512, 512, 3, 16), 4, 0.1, 0),
+        ] + [m for plan in HALF_PLANS for m in half_models(plan)]
+        chosen = 0
+        for m in models:
+            for b in (1, 4, 16, 40, 254, 512, 1514, 4096, 25000):
+                s = half_split(m, b)
+                if s:
+                    chosen += 1
+                    ltab, rtab = half_tables(m, s)
+                    assert ltab.size + rtab.size <= b * m.plan.cols
+        assert chosen  # the rule picks halves somewhere in this sweep
 
 
 class TestMaterialize:
