@@ -358,9 +358,18 @@ def delta_identity_tt(plan: FactorizationPlan) -> TTMatrix:
 
 def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
     """Compress a dense (padded_rows x cols) matrix by sequential
-    truncated SVDs; ranks are capped at plan.ranks and at the numerical
-    rank of each unfolding (tiny singular values are always dropped).
-    The result's plan carries the ranks kept."""
+    truncated SVDs (Oseledets 2011, Alg. 1); ranks are capped at
+    plan.ranks and at the numerical rank of each unfolding (tiny singular
+    values are always dropped).  The result's plan carries the ranks kept.
+
+    Route: an unfolding ``mat`` with fewer rows than columns is factored
+    through the R factor of ``mat.T = QR``.  ``mat = R^T Q^T`` has the
+    left factors and singular values of ``R^T``, a square SVD, so no wide
+    SVD runs.  Square and tall unfoldings take ``svd(mat)``.  Either way
+    the remainder passed on is the projection ``u_r^T @ mat`` (equal to
+    ``s_r vt_r`` in exact arithmetic), and the truncation threshold
+    scales with ``max(mat.shape)`` of the unfolding, not of ``R``.
+    Non-finite input raises ValueError before any LAPACK call."""
     dense = np.asarray(dense, dtype=np.float64)
     n = plan.n_cores
     if dense.shape != (plan.padded_rows, plan.cols):
@@ -368,27 +377,32 @@ def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
             f"matrix shape {dense.shape} disagrees with plan "
             f"({plan.padded_rows}, {plan.cols})"
         )
+    if not np.all(np.isfinite(dense)):
+        raise ValueError("tt_svd input contains non-finite entries")
     t = dense.reshape(plan.row_factors + plan.col_factors, order="F")
     interleave = [ax for k in range(n) for ax in (k, n + k)]
-    rest = np.transpose(t, interleave)
+    # rest is (r, i_k, j_k, i_k+1, j_k+1, ..., i_N, j_N)
+    rest = np.transpose(t, interleave)[np.newaxis]
     cores = []
-    r = 1
     for k in range(n - 1):
-        ik, jk = plan.row_factors[k], plan.col_factors[k]
-        mat = rest.reshape((r * ik * jk, -1), order="F")
-        res = svd(mat)
+        rows = prod(rest.shape[:3])
+        cols = rest.size // rows
+        if rows < cols:
+            # a C-ordered mat makes mat.T Fortran-ordered, as LAPACK reads it;
+            # the F-order reshape only splits mat's two axes, so it is a view
+            mat = np.empty((rows, cols))
+            mat.reshape(rest.shape, order="F")[...] = rest
+            res = svd(np.linalg.qr(mat.T, mode="r").T)
+        else:
+            mat = rest.reshape((rows, cols), order="F")
+            res = svd(mat)
         smax = res.singular_values[0] if res.singular_values.size else 0.0
         thresh = TT_SVD_TRUNCATION_TOL * smax * max(mat.shape)
         nrank = int(np.count_nonzero(res.singular_values > thresh))
-        if nrank == 0:  # zero unfolding: keep the chain alive with zero cores
-            cores.append(np.zeros((r, ik, jk, 1)))
-            rest = np.zeros((1, mat.shape[1]))
-            r = 1
-            continue
-        rank = min(plan.ranks[k], nrank)
-        cores.append(res.u[:, :rank].reshape((r, ik, jk, rank), order="F"))
-        rest = res.singular_values[:rank, None] * res.vt[:rank, :]
-        r = rank
-    cores.append(rest.reshape((r, plan.row_factors[-1], plan.col_factors[-1], 1), order="F"))
+        # a zero unfolding keeps the chain alive with a zero rank-1 core
+        u = res.u[:, : min(plan.ranks[k], nrank)] if nrank else np.zeros((rows, 1))
+        cores.append(u.reshape(rest.shape[:3] + (u.shape[1],), order="F"))
+        rest = (u.T @ mat).reshape((u.shape[1],) + rest.shape[3:], order="F")
+    cores.append(rest[..., np.newaxis])
     kept = tuple(c.shape[3] for c in cores[:-1])
     return TTMatrix(cores=cores, plan=replace(plan, ranks=kept))

@@ -168,6 +168,19 @@ class TestCompressReconstruct:
         assert code == 0
         assert porcelain(out)["ranks"] == "2,2"
 
+    def test_nonfinite_table_rejected(self, capsys, tmp_path):
+        dense = np.ones((64, 64))
+        dense[3, 7] = np.nan
+        src = str(tmp_path / "in.dmat")
+        save_dmat(src, dense)
+        model = tmp_path / "m.tte"
+        code, _, err = run_cli(
+            capsys, "compress", "--in", src, "--n", "3", "--ranks", "4", "--out", str(model),
+        )
+        assert code == 2
+        assert "tt_svd input contains non-finite entries" in err
+        assert not model.exists()
+
     def test_reconstruct_serves_requested_rows_only(self, capsys, tmp_path):
         rng = np.random.default_rng(2)
         dense = rng.standard_normal((60, 16))  # pads to 64 rows internally

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import random_plan, random_tt_from
@@ -254,6 +256,46 @@ class TestTTSvd:
         assert all(np.all(c == 0) for c in m.cores)
         assert np.all(m.materialize() == 0)
 
+    def test_zero_matrix_wide_unfolding(self):
+        # first unfolding 16 x 256: the zero table through the QR route
+        plan = FactorizationPlan((4, 4, 4), (4, 4, 4), 64, (5, 5))
+        m = tt_svd(np.zeros((64, 64)), plan)
+        assert all(np.all(c == 0) for c in m.cores)
+        assert m.plan.ranks == m.bond_ranks == (1, 1)
+        assert np.all(m.materialize() == 0)
+
+    def test_threshold_scales_with_unfolding_not_r_factor(self):
+        # first unfolding 16 x 256 with singular values 1 and 1e-10: the
+        # threshold 1e-12 * 256 drops the second, 1e-12 * 16 (R's shape) would not
+        plan = FactorizationPlan((4, 4, 4), (4, 4, 4), 64, (5, 5))
+        rng = np.random.default_rng(10)
+        u = np.linalg.qr(rng.standard_normal((16, 2)))[0]
+        v = np.linalg.qr(rng.standard_normal((256, 2)))[0]
+        mat = u @ np.diag([1.0, 1e-10]) @ v.T
+        t = mat.reshape((4,) * 6, order="F")  # (i1, j1, i2, j2, i3, j3)
+        dense = np.transpose(t, np.argsort([0, 3, 1, 4, 2, 5])).reshape((64, 64), order="F")
+        assert tt_svd(dense, plan).plan.ranks[0] == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FactorizationPlan((4, 4, 4), (4, 4, 4), 64, (5, 5)),  # 16 x 256
+            FactorizationPlan((8, 2, 4), (8, 2, 4), 64, (5, 5)),  # 64 x 64
+        ],
+        ids=["wide", "square"],
+    )
+    def test_nonfinite_rejected_before_lapack(self, monkeypatch, plan, bad):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite input")
+
+        monkeypatch.setattr(ttmatrix, "svd", no_lapack)
+        monkeypatch.setattr(np.linalg, "qr", no_lapack)
+        dense = np.ones((64, 64))
+        dense[37, 5] = bad
+        with pytest.raises(ValueError, match="^tt_svd input contains non-finite entries$"):
+            tt_svd(dense, plan)
+
     def test_full_rank_lossless(self):
         rng = np.random.default_rng(6)
         dense = rng.standard_normal((64, 64))
@@ -298,6 +340,109 @@ class TestTTSvd:
         assert m.plan.parameter_count == m.stats().tt_params == 240
         save_tt(tmp_path / "m.tte", m)
         assert load_tt(tmp_path / "m.tte").plan == m.plan
+
+
+def interleaved(dense, plan):
+    """The (i_1, j_1, ..., i_N, j_N) tensor of a dense table."""
+    n = plan.n_cores
+    t = dense.reshape(plan.row_factors + plan.col_factors, order="F")
+    return np.transpose(t, [ax for k in range(n) for ax in (k, n + k)])
+
+
+def reference_tt_svd(dense, plan):
+    """TT-SVD as Oseledets (2011, Alg. 1) writes it: a thin SVD of every
+    unfolding, and s_r vt_r as the remainder."""
+    rest, cores, r = interleaved(dense, plan), [], 1
+    for k in range(plan.n_cores - 1):
+        ik, jk = plan.row_factors[k], plan.col_factors[k]
+        mat = rest.reshape((r * ik * jk, -1), order="F")
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        thresh = ttmatrix.TT_SVD_TRUNCATION_TOL * s[0] * max(mat.shape)
+        rank = min(plan.ranks[k], int(np.count_nonzero(s > thresh)))
+        cores.append(u[:, :rank].reshape((r, ik, jk, rank), order="F"))
+        rest, r = s[:rank, None] * vt[:rank], rank
+    cores.append(rest.reshape((r, plan.row_factors[-1], plan.col_factors[-1], 1), order="F"))
+    return TTMatrix(cores=cores, plan=replace(plan, ranks=tuple(c.shape[3] for c in cores[:-1])))
+
+
+def best_unfolding_errors_sq(dense, plan, ranks):
+    """eps_k^2: the squared best rank-r_k error of the table's k-th unfolding."""
+    t = interleaved(dense, plan)
+    rows = np.cumprod(np.multiply(plan.row_factors, plan.col_factors))
+    return [
+        float(np.sum(np.linalg.svd(t.reshape((m, -1), order="F"), compute_uv=False)[r:] ** 2))
+        for m, r in zip(rows, ranks)
+    ]
+
+
+# first unfolding wide, square or tall; N = 2..4; padded rows where
+# requested_rows < prod(row_factors); noise None is a Gaussian table
+CONTRACT_CASES = [
+    (FactorizationPlan((2, 8), (2, 8), 16, (3,)), 1e-2),
+    (FactorizationPlan((4, 4), (4, 4), 16, (5,)), 1e-2),
+    (FactorizationPlan((8, 2), (8, 2), 16, (3,)), 1e-2),
+    (FactorizationPlan((5, 5), (3, 4), 23, (4,)), None),
+    (FactorizationPlan((4, 4, 4), (2, 4, 4), 64, (4, 6)), 1e-2),
+    (FactorizationPlan((3, 4, 4), (4, 4, 4), 40, (5, 5)), 1e-2),
+    (FactorizationPlan((8, 2, 4), (8, 2, 4), 64, (5, 4)), 1e-2),
+    (FactorizationPlan((8, 2, 2), (8, 2, 2), 32, (6, 3)), None),
+    (FactorizationPlan((8, 2, 2), (8, 2, 2), 30, (6, 3)), 1e-2),
+    (FactorizationPlan((2, 2, 2, 2), (4, 2, 2, 2), 16, (3, 4, 3)), 1e-2),
+    (FactorizationPlan((3, 3, 3, 3), (3, 3, 3, 3), 70, (4, 6, 4)), None),
+    (FactorizationPlan((9, 2, 2, 2), (8, 2, 2, 2), 68, (4, 5, 3)), 1e-2),
+]
+
+
+def contract_table(plan, noise, seed):
+    rng = np.random.default_rng(seed)
+    shape = (plan.padded_rows, plan.cols)
+    if noise is None:
+        dense = rng.standard_normal(shape)
+    else:
+        dense = random_tt_from(rng, plan).materialize()
+        dense += noise * np.linalg.norm(dense) / np.sqrt(dense.size) * rng.standard_normal(shape)
+    dense[plan.requested_rows:] = 0.0  # padding rows, as `compress` fills them
+    return dense
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shapes of the matrices tt_svd hands to svd, in call order."""
+    shapes = []
+    real_svd = ttmatrix.svd
+
+    def recording_svd(m):
+        shapes.append(m.shape)
+        return real_svd(m)
+
+    monkeypatch.setattr(ttmatrix, "svd", recording_svd)
+    return shapes
+
+
+class TestTTSvdContract:
+    @pytest.mark.parametrize("case", range(len(CONTRACT_CASES)))
+    def test_error_bound_and_reference(self, svd_shapes, case):
+        plan, noise = CONTRACT_CASES[case]
+        dense = contract_table(plan, noise, seed=100 + case)
+        m = tt_svd(dense, plan)
+        rec = m.materialize()
+        norm = np.linalg.norm(dense)
+        # Oseledets 2011, Thm 2.2: ||A - TT||_F^2 <= sum_k eps_k^2.  At N = 2
+        # it holds with equality (Eckart-Young), so allow rounding room.
+        err_sq = np.linalg.norm(dense - rec) ** 2
+        bound_sq = sum(best_unfolding_errors_sq(dense, plan, m.plan.ranks))
+        assert err_sq <= bound_sq + 1e-12 * norm**2
+        ref = reference_tt_svd(dense, plan)
+        assert m.plan.ranks == ref.plan.ranks
+        assert np.linalg.norm(rec - ref.materialize()) <= 1e-12 * norm
+        # wide unfoldings reach svd as their square R^T factor
+        assert len(svd_shapes) == plan.n_cores - 1
+        assert all(rows >= cols for rows, cols in svd_shapes)
+
+    def test_compress_plan_route(self, svd_shapes):
+        plan = plan_embedding(512, 512, 3, 16)
+        tt_svd(np.random.default_rng(3).standard_normal((512, 512)), plan)
+        assert svd_shapes == [(64, 64), (1024, 64)]
 
 
 class TestRandomInit:
