@@ -33,6 +33,16 @@ class SvdResult:
     vt: np.ndarray
 
 
+def _matrix(m, what: str) -> np.ndarray:
+    """m as a finite float64 matrix; otherwise an error naming `what`."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeError(f"{what} expects a matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} input contains non-finite entries")
+    return m
+
+
 def svd(m: np.ndarray) -> SvdResult:
     """Thin SVD by LAPACK (``np.linalg.svd(full_matrices=False)``).
 
@@ -40,12 +50,7 @@ def svd(m: np.ndarray) -> SvdResult:
     convention: the largest-magnitude entry of every u-column is made
     positive, and the matching vt-row is flipped with it.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError("svd expects a matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("svd input contains non-finite entries")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    u, s, vt = np.linalg.svd(_matrix(m, "svd"), full_matrices=False)
     if u.size == 0:
         return SvdResult(u=u, singular_values=s, vt=vt)  # no column to sign
     piv = np.argmax(np.abs(u), axis=0)
@@ -57,9 +62,10 @@ def svd(m: np.ndarray) -> SvdResult:
 
 def numerical_rank(m: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above tol_factor * sigma_max * max(rows, cols)."""
-    if tol_factor <= 0.0:
-        raise ValueError("tol_factor must be positive")
-    s = svd(m).singular_values
+    if not tol_factor > 0.0:
+        raise ValueError(f"tol_factor must be positive, got {tol_factor!r}")
+    m = _matrix(m, "numerical_rank")
+    s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     thresh = tol_factor * s[0] * max(m.shape)

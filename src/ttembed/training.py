@@ -57,6 +57,9 @@ class TrainConfig:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be >= 1")
+        for name in ("ring_rank", "lowrank_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError("learning rate must be finite and >= 0")
 

@@ -8,7 +8,7 @@ which takes that trace, so R == 1 computes exactly what TT does.
 
 from __future__ import annotations
 
-from .planning import FactorizationPlan
+from .planning import FactorizationPlan, _as_int
 from .ttmatrix import TTMatrix, _random_cores
 
 
@@ -29,7 +29,7 @@ def circular_shift(m: TRMatrix, s: int) -> TRMatrix:
     (trace(AB...Z) == trace(B...ZA)).  Served-row bookkeeping does not
     survive rotation, so the shifted plan serves every padded row.
     """
-    n = len(m.cores)
+    n, s = len(m.cores), _as_int(s, "shift")
     if not 0 <= s <= n:
         raise ValueError(f"shift must be in [0, {n}]")
     s = s % n

@@ -204,26 +204,16 @@ class TTMatrix:
         return grads
 
     def materialize(self, cap: int | None = None) -> np.ndarray:
-        """Full dense (padded_rows x cols) matrix; guarded by an entry cap.
-        A chain contracts whole cores into an F-ordered result; a ring runs
-        the row kernel.  rows(arange) would give a chain the same entries,
-        but C-ordered, which moves the low-order bits of reductions that
-        callers run on the result."""
+        """Full dense (padded_rows x cols) matrix, C-ordered: rows over all
+        padded rows, so a chain and a ring go through the row kernels.
+        Guarded by an entry cap."""
         cap = materialize_cap() if cap is None else cap
         rows, cols = self.shape
         if rows * cols > cap:
             raise MemoryError(
                 f"materialize of {rows}x{cols} exceeds cap of {cap} entries"
             )
-        if self.ring_rank > 1:
-            return self.rows(np.arange(rows))
-        acc = self.cores[0][0]  # (I_1, J_1, R_1)
-        for core in self.cores[1:]:
-            acc = np.tensordot(acc, core, axes=([-1], [0]))
-        acc = acc[..., 0]  # dims (I_1, J_1, ..., I_N, J_N)
-        n = len(self.cores)
-        perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        return np.transpose(acc, perm).reshape((rows, cols), order="F")
+        return self.rows(np.arange(rows))
 
     def stats(self) -> CompressionStats:
         return CompressionStats.from_counts(

@@ -216,6 +216,15 @@ class TestChecks:
         assert kv["all_full_rank"] == "true"
         assert "delta-witness" in kv
 
+    def test_rankcheck_nan_tol_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rankcheck", "--vocab", "16", "--dim", "16", "--n", "2",
+            "--rank", "2", "--tol", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol_factor must be positive" in err
+
     def test_initstats_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "--porcelain", "initstats", "--vocab", "64", "--dim", "16",
@@ -306,6 +315,15 @@ class TestTrainDemo:
         assert "missing config keys: vocab" in err
         cfg = self.write_config(tmp_path, steps=2)
         assert "missing config keys: vocab, dim" in run_cli(capsys, "train-demo", "--config", cfg)[2]
+
+    @pytest.mark.parametrize("kind, key", [("lowrank", "lowrank_dim"), ("tr", "ring_rank")])
+    def test_rank_below_one_rejected(self, capsys, tmp_path, kind, key):
+        cfg = self.write_config(tmp_path, vocab=16, dim=16, n=2, ranks=2, steps=2,
+                                kind=kind, **{key: 0})
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"{key} must be >= 1" in err
 
     def test_toy_classify(self, capsys, tmp_path):
         cfg = self.write_config(

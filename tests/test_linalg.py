@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttembed.linalg import numerical_rank, svd
+from ttembed.linalg import ShapeError, numerical_rank, svd
 
 
 class TestSvd:
@@ -92,3 +92,26 @@ class TestNumericalRank:
             if seed % 2:
                 m[:, -1] = m[:, 0]  # make it exactly deficient
             assert numerical_rank(m @ m.T) == numerical_rank(m)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")], ids=["zero", "negative", "nan"])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="^tol_factor must be positive"):
+            numerical_rank(np.eye(3), tol)
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ShapeError, match="numerical_rank expects a matrix"):
+            numerical_rank(np.ones(3))
+        with pytest.raises(ValueError, match="numerical_rank input contains non-finite"):
+            numerical_rank([[1.0, np.inf], [0.0, 1.0]])
+
+    def test_reads_singular_values_only(self, monkeypatch):
+        calls = []
+        lapack = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return lapack(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert numerical_rank(np.diag([2.0, 1.0, 0.0])) == 2
+        assert calls == [False]

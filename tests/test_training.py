@@ -33,6 +33,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(plan=SMALL, steps=0)
 
+    @pytest.mark.parametrize("name", ["ring_rank", "lowrank_dim"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_rejects_rank_below_one(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            TrainConfig(plan=SMALL, **{name: value})
+
 
 class TestMatrixFit:
     def test_loss_decreases(self):

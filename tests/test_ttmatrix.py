@@ -208,6 +208,15 @@ class TestMaterialize:
             for j in range(4):
                 assert dense[i, j] == pytest.approx(m.element(i, j), rel=1e-12)
 
+    def test_is_rows_over_all_padded_rows(self):
+        models = [m for plan in HALF_PLANS for m in half_models(plan)]
+        models.append(glorot_tt(plan_embedding(512, 512, 3, 16), seed=0))  # the compress table
+        for m in models:
+            dense = m.materialize()
+            assert dense.flags.c_contiguous
+            assert dense.tobytes() == m.rows(np.arange(m.plan.padded_rows)).tobytes()
+        assert any(half_split(m, m.plan.padded_rows) for m in models)  # the half kernel ran
+
     def test_bad_cap_value_is_named(self, monkeypatch):
         m = ones_tt(FactorizationPlan((2, 2), (2, 2), 4, (1,)))
         monkeypatch.setenv(MATERIALIZE_CAP_ENV, "abc")
