@@ -10,6 +10,15 @@ the distinct rows of the batch; backward lets the kernel build prefix
 and suffix products for all distinct rows at once and add each row's
 gradient into every core.
 
+forward keeps a one-batch tape: its indices, their distinct rows and
+inverse, and what the chain kernel built for them (digits, core slices,
+prefixes) in buffers reused from step to step.  backward of the same
+indices starts from the tape instead of decoding, deduplicating,
+gathering and sweeping the prefixes again; any other backward
+recomputes, with bitwise the same result.  So the gradient is taken at
+the cores as forward saw them: apply_gradients drops the tape, and no
+other in-place write to the cores may fall between forward and backward.
+
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
 """
 
@@ -19,7 +28,7 @@ import numpy as np
 
 from .linalg import ShapeError
 from .planning import _as_int, _as_int_array
-from .ttmatrix import TTMatrix
+from .ttmatrix import Tape, TTMatrix
 
 
 class _Layer:
@@ -31,15 +40,16 @@ class _Layer:
             raise IndexError(f"index outside vocabulary [0, {self.vocab})")
         return idx
 
-    def _summed_upstream(self, indices, upstream):
-        """The batch's distinct rows, sorted, and each row's summed upstream."""
-        idx = self._check_indices(indices)
+    def _summed_upstream(self, idx, upstream, distinct=None):
+        """The batch's distinct rows, sorted, and each row's summed
+        upstream; `distinct` is np.unique(idx, return_inverse=True) if
+        already known."""
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (idx.size, self.dim):
             raise ShapeError(
                 f"upstream shape {upstream.shape} != ({idx.size}, {self.dim})"
             )
-        rows, inverse = np.unique(idx, return_inverse=True)
+        rows, inverse = distinct or np.unique(idx, return_inverse=True)
         # sum the upstream of repeated rows: bin (row, column) pairs
         bins = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
         summed = np.bincount(bins, upstream.ravel(), rows.size * self.dim)
@@ -72,6 +82,9 @@ class TTEmbedding(_Layer):
             raise ShapeError(
                 f"vocab {self.vocab} exceeds padded capacity {weights.plan.padded_rows}"
             )
+        self._tape = Tape()
+        # of the last forward: (indices, cores, (distinct rows, inverse), tape blocks)
+        self._saved = None
 
     @property
     def dim(self) -> int:
@@ -81,13 +94,43 @@ class TTEmbedding(_Layer):
         return self.weights.cores
 
     def forward(self, indices) -> np.ndarray:
-        rows, inverse = np.unique(self._check_indices(indices), return_inverse=True)
-        return self.weights.rows(rows)[inverse]
+        idx = self._check_indices(indices)
+        self._saved = None
+        rows, inverse = np.unique(idx, return_inverse=True)
+        out = self.weights.rows(rows, self._tape)[inverse]
+        self._saved = (idx.copy(), tuple(self.weights.cores), (rows, inverse), self._tape.blocks)
+        return out
+
+    def _taped(self, idx) -> bool:
+        """Whether forward's tape is of these indices and of the cores held
+        now, and still holds forward's blocks (rows() refills a tape with a
+        new list, say for a shallow copy of the layer that shares it)."""
+        if self._saved is None:
+            return False
+        saved, cores, _, blocks = self._saved
+        now = self.weights.cores
+        return (
+            np.array_equal(idx, saved)
+            and blocks is self._tape.blocks
+            and len(cores) == len(now)
+            and all(a is b for a, b in zip(cores, now))
+        )
 
     def backward(self, indices, upstream) -> list:
-        """Gradients of sum_b <upstream[b], forward(indices)[b]>, one per core."""
-        rows, summed = self._summed_upstream(indices, upstream)
-        return self.weights.row_grads(rows, summed)
+        """Gradients of sum_b <upstream[b], forward(indices)[b]>, one per core.
+
+        After forward of the same indices, with no apply_gradients in
+        between, it starts from forward's tape: the gradient is then taken
+        at the cores forward saw, so the cores must not be written to in
+        place in between.  Otherwise it recomputes; both give the same bits."""
+        idx = self._check_indices(indices)
+        distinct, blocks = self._saved[2:] if self._taped(idx) else (None, None)
+        rows, summed = self._summed_upstream(idx, upstream, distinct)
+        return self.weights.row_grads(rows, summed, blocks)
+
+    def apply_gradients(self, grads, step: float) -> None:
+        self._saved = None  # the cores change: forward's tape no longer holds
+        super().apply_gradients(grads, step)
 
 
 class LowRankEmbedding(_Layer):
@@ -118,7 +161,7 @@ class LowRankEmbedding(_Layer):
 
     def backward(self, indices, upstream) -> list:
         """Gradients of sum_b <upstream[b], forward(indices)[b]>: [dU, dV]."""
-        rows, summed = self._summed_upstream(indices, upstream)
+        rows, summed = self._summed_upstream(self._check_indices(indices), upstream)
         du = np.zeros_like(self.u)
         du[rows] = summed @ self.v
         return [du, summed.T @ self.u[rows]]

@@ -62,8 +62,8 @@ def svd(m: np.ndarray) -> SvdResult:
 
 def numerical_rank(m: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above tol_factor * sigma_max * max(rows, cols)."""
-    if not tol_factor > 0.0:
-        raise ValueError(f"tol_factor must be positive, got {tol_factor!r}")
+    if not 0.0 < tol_factor < np.inf:
+        raise ValueError(f"tol_factor must be positive and finite, got {tol_factor!r}")
     m = _matrix(m, "numerical_rank")
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:

@@ -23,17 +23,21 @@ DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "TTEMBED_MATERIALIZE_CAP"
 TT_SVD_TRUNCATION_TOL = 1e-12
 KERNEL_BLOCK = 1 << 17  # entries of a row block's largest intermediates
+TAPE_ALIGN = 8  # entries: tape arrays start at multiples of 64 bytes
 
 
 def materialize_cap() -> int:
     """Entry budget for materialize(); overridable via environment."""
     raw = os.environ.get(MATERIALIZE_CAP_ENV)
     try:
-        return int(raw) if raw else DEFAULT_MATERIALIZE_CAP
+        cap = int(raw) if raw else DEFAULT_MATERIALIZE_CAP
     except ValueError:
+        cap = 0
+    if cap < 1:
         raise ValueError(
-            f"{MATERIALIZE_CAP_ENV} must be an integer entry count, got {raw!r}"
-        ) from None
+            f"{MATERIALIZE_CAP_ENV} must be a positive integer entry count, got {raw!r}"
+        )
+    return cap
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,33 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
         raise ShapeError(f"boundary ranks must be 1, got {first} and {last}")
 
 
+class Tape:
+    """The blocks of the last rows() call given this tape.  Their slices
+    and prefixes are carved from one float buffer that is kept from call
+    to call and grows to the largest call seen, so batches of a recurring
+    size allocate nothing new."""
+
+    def __init__(self):
+        self.blocks = []
+        self.buffer = np.empty(0)
+        self._used = 0
+
+    def clear(self, entries: int = 0) -> None:
+        """Drop the blocks and make room for `entries` floats in all."""
+        self.blocks = []
+        self._used = 0
+        if entries > self.buffer.size:
+            self.buffer = None  # free the old buffer before the new one is made
+            self.buffer = np.empty(entries)
+
+    def empty(self, shape) -> np.ndarray:
+        """An array carved from the buffer; each starts 64-byte aligned
+        relative to the buffer, as a fresh one would be."""
+        n, start = prod(shape), self._used
+        self._used += -(-n // TAPE_ALIGN) * TAPE_ALIGN
+        return self.buffer[start : start + n].reshape(shape)
+
+
 class TTMatrix:
     """Cores plus plan.  TRMatrix closes the chain into a ring; a chain is
     the ring with closure rank c = R_0 = R_N = 1, so one kernel serves both."""
@@ -106,36 +137,62 @@ class TTMatrix:
             acc = acc @ self.cores[k][:, ii[k], jj[k], :]
         return float(np.trace(acc))
 
-    def _blocks(self, indices):
-        """Yield (rows, their digits) for blocks of the rows at `indices`
-        whose intermediates, about c * R_{k-1} * J_k * R_k entries a row,
-        stay small enough for the allocator to reuse."""
+    def _sweep(self, indices, tape: "Tape | None" = None):
+        """Yield, per block of the rows at `indices`, what the chain kernel
+        builds for it: (the block's positions in the batch, the rows'
+        digits, core k's slices at them as (B, R_{k-1}, J_k, R_k), the
+        rows' prefixes).  Blocks are sized so that their intermediates,
+        about c * R_{k-1} * J_k * R_k entries a row, stay small enough for
+        the allocator to reuse.  With a tape, the slices and prefixes are
+        built in its buffer and the blocks are kept in it."""
         digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
         per_row = self.ring_rank * max(c.size // c.shape[1] for c in self.cores)
         step = max(1, KERNEL_BLOCK // per_row)
+        empty = np.empty
+        if tape is not None:
+            sizes = self._row_entries()
+            blocks = -(-digits[0].size // step)
+            tape.clear(digits[0].size * sum(sizes) + blocks * len(sizes) * TAPE_ALIGN)
+            empty = tape.empty
         for s in range(0, digits[0].size, step):
-            yield slice(s, s + step), [x[s : s + step] for x in digits]
+            d = [x[s : s + step] for x in digits]
+            slices = []
+            for g, x in zip(self.cores, d):  # the digits are checked: clip is a no-op
+                r, _, j, rn = g.shape
+                out = np.take(g, x, axis=1, out=empty((r, x.size, j, rn)), mode="clip")
+                slices.append(out.transpose(1, 0, 2, 3))
+            blk = (slice(s, s + step), d, slices, self._prefixes(slices, empty))
+            if tape is not None:
+                tape.blocks.append(blk)
+            yield blk
 
-    def _slices(self, k: int, digits) -> np.ndarray:
-        """Core k's slices at the rows' digits: (B, R_{k-1}, J_k, R_k)."""
-        return np.take(self.cores[k], digits[k], axis=1).transpose(1, 0, 2, 3)
+    def _row_entries(self) -> list:
+        """Entries a row takes in each of its slices and prefixes 1..N-1."""
+        sizes = [g.size // g.shape[1] for g in self.cores]
+        p = self.ring_rank
+        for g in self.cores[:-1]:
+            p *= g.shape[2]
+            sizes.append(p * g.shape[3])
+        return sizes
 
-    def _prefixes(self, digits):
-        """Yield the products of each row's first k = 0..N-1 slices,
-        (B, c * J_1..J_k, R_k) with c slowest and J_1 fastest.  A row's
-        result does not depend on the other rows of its block."""
-        b, c = digits[0].size, self.ring_rank
+    def _prefixes(self, slices, empty) -> list:
+        """The products of each row's first k = 0..N-1 slices,
+        (B, c * J_1..J_k, R_k) with c slowest and J_1 fastest, built in
+        arrays from empty(shape).  A row's result does not depend on the
+        other rows of its block."""
+        b, c = slices[0].shape[0], self.ring_rank
         acc = np.broadcast_to(np.eye(c), (b, c, c))
-        for k in range(len(self.cores) - 1):
-            yield acc
-            g = self._slices(k, digits)
+        out = [acc]
+        for g in slices[:-1]:
             r, jk, rk = g.shape[1:]
             p = acc.shape[1] // c
             nxt = (acc @ g.reshape(b, r, jk * rk)).reshape(b, c, p, jk, rk)
-            acc = nxt.transpose(0, 1, 3, 2, 4).reshape(b, c * jk * p, rk)
-        yield acc
+            acc = empty((b, c * jk * p, rk))
+            acc.reshape(b, c, jk, p, rk)[...] = nxt.transpose(0, 1, 3, 2, 4)
+            out.append(acc)
+        return out
 
-    def rows(self, indices) -> np.ndarray:
+    def rows(self, indices, tape: "Tape | None" = None) -> np.ndarray:
         """Rows at an index array, (B, cols), by one of two kernels.
 
         The chain kernel runs one batched matmul per core; the last also
@@ -150,43 +207,53 @@ class TTMatrix:
         size of the result; the least-flop one wins.  The kernels associate
         the products differently, so a row's last bits may differ between
         batches that take different kernels; a given config always makes
-        the same choices, so its results stay bitwise reproducible."""
+        the same choices, so its results stay bitwise reproducible.
+
+        A tape is emptied first; a chain-kernel call then keeps its blocks
+        in it for row_grads, and a half-kernel call keeps none."""
+        if tape is not None:
+            tape.clear()
         s = half_split(self, np.size(indices))
         if s:
             return half_rows(self, indices, s)
         c = self.ring_rank
         out = np.empty((np.size(indices), self.plan.cols))
-        for blk, d in self._blocks(indices):
-            for acc in self._prefixes(d):
-                pass
-            g = self._slices(-1, d)  # (B, R_{N-1}, J_N, c)
+        for span, _, slices, prefixes in self._sweep(indices, tape):
+            acc, g = prefixes[-1], slices[-1]  # g: (B, R_{N-1}, J_N, c)
             b, r, jn = g.shape[:3]
             p = acc.shape[1] // c
             acc = acc.reshape(b, c, p, r).transpose(0, 2, 1, 3).reshape(b, p, c * r)
             acc = acc @ g.transpose(0, 3, 1, 2).reshape(b, c * r, jn)
-            out[blk] = acc.transpose(0, 2, 1).reshape(b, jn * p)
+            out[span] = acc.transpose(0, 2, 1).reshape(b, jn * p)
         return out
 
     def row(self, i: int) -> np.ndarray:
         """Row i; output entry j has j_1 fastest."""
         return self.rows([i])[0]
 
-    def row_grads(self, indices, upstream) -> list:
+    def row_grads(self, indices, upstream, blocks=None) -> list:
         """Gradient of sum_b <upstream[b], rows(indices)[b]> w.r.t. each core.
         Row b's core-k gradient contracts its prefix, its upstream viewed as
         (suffix cols, J_k, prefix cols) and its suffix; a one-hot matmul
-        sums the rows by digit i_k."""
+        sums a block's rows by digit i_k into the rows of a contiguous
+        (I_k, R_k * J_k * R_{k-1}) sum, transposed to the core's layout at
+        the end.
+
+        `blocks` are those a rows(indices, tape) call kept; without them
+        (or after a half-kernel call, which keeps none) the blocks are
+        built again.  Kept blocks hold the slices and prefixes of the cores
+        as that call saw them, so the gradient is taken there: the cores
+        must not be written to in between."""
         c = self.ring_rank
         upstream = np.asarray(upstream, dtype=np.float64)
-        grads = [np.zeros_like(x) for x in self.cores]
-        for blk, d in self._blocks(indices):
-            u = upstream[blk]
+        sums = [np.zeros((x.shape[1], x.size // x.shape[1])) for x in self.cores]
+        for span, digits, slices, prefixes in blocks or self._sweep(indices):
+            u = upstream[span]
             b = u.shape[0]
-            left = list(self._prefixes(d))
             right = np.broadcast_to(np.eye(c), (b, c, c))  # (B, c * J_{k+1}..J_N, R_k)
             for k in reversed(range(len(self.cores))):
                 a, _, jk, rk = self.cores[k].shape
-                lk = left.pop()
+                lk = prefixes[k]
                 p, q = lk.shape[1] // c, right.shape[1] // c
                 if k:
                     t = u.reshape(b, 1, q * jk, p) @ lk.reshape(b, c, p, a)
@@ -194,14 +261,18 @@ class TTMatrix:
                 else:  # the prefix is the identity: skip the (c, cols, c) product
                     g = right.reshape(b, c, q, rk).transpose(0, 1, 3, 2) @ u.reshape(b, 1, q, jk)
                     g = g.transpose(0, 2, 3, 1)
-                vals, inv = np.unique(d[k], return_inverse=True)
-                g = (np.arange(vals.size)[:, None] == inv) @ g.reshape(b, rk * jk * a)
-                grads[k][:, vals] += g.reshape(-1, rk, jk, a).transpose(3, 0, 2, 1)
+                # one-hot rows for the digits present only: an all-I_k one-hot turns a
+                # one-value block into a many-row product, which BLAS sums in another order
+                vals, inv = np.unique(digits[k], return_inverse=True)
+                sums[k][vals] += (np.arange(vals.size)[:, None] == inv) @ g.reshape(b, rk * jk * a)
                 if k:
-                    s = self._slices(k, d).reshape(b, a * jk, rk)
+                    s = slices[k].reshape(b, a * jk, rk)
                     right = (right @ s.transpose(0, 2, 1)).reshape(b, c, q, a, jk)
                     right = right.transpose(0, 1, 2, 4, 3).reshape(b, c * q * jk, a)
-        return grads
+        return [
+            x.reshape(ik, rk, jk, a).transpose(3, 0, 2, 1).copy()
+            for x, (a, ik, jk, rk) in zip(sums, (g.shape for g in self.cores))
+        ]
 
     def materialize(self, cap: int | None = None) -> np.ndarray:
         """Full dense (padded_rows x cols) matrix, C-ordered: rows over all

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ttembed import ttmatrix
 from ttembed.analysis import (
     check_full_rank,
     compression_table,
@@ -170,3 +171,10 @@ class TestGradientAudit:
         exact = layer.backward
         layer.backward = lambda i, u: [(1.0 + 1e-4) * g for g in exact(i, u)]
         assert gradient_audit(layer, idx, upstream) > 1e-5
+
+    @pytest.mark.parametrize("kind", ["tt", "tr", "lowrank"])
+    def test_repeated_audit_is_identical(self, kind, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)  # a chain-kernel tape
+        layer, idx, upstream = _audit_case(kind)
+        first = gradient_audit(layer, idx, upstream)
+        assert gradient_audit(layer, idx, upstream) == first

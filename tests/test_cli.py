@@ -225,6 +225,15 @@ class TestChecks:
         assert out == ""
         assert "tol_factor must be positive" in err
 
+    def test_rankcheck_inf_tol_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rankcheck", "--vocab", "16", "--dim", "16", "--n", "2",
+            "--rank", "2", "--tol", "inf",
+        )
+        assert code == 2
+        assert out == ""
+        assert "tol_factor must be positive and finite, got inf" in err
+
     def test_initstats_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "--porcelain", "initstats", "--vocab", "64", "--dim", "16",

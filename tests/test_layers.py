@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from conftest import random_plan
@@ -298,3 +300,154 @@ class TestLowRank:
     def test_param_count(self):
         layer = random_lowrank(10, 6, 3, 1.0, 4)
         assert layer.parameter_count() == 10 * 3 + 6 * 3
+
+
+def fresh_grads(layer, idx, upstream):
+    """Gradients from a layer over the same weights that has run no
+    forward, so it has no tape and recomputes everything."""
+    return TTEmbedding(layer.weights, layer.vocab).backward(idx, upstream)
+
+
+def assert_bitwise(got, want):
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def several_blocks(monkeypatch, m, rows):
+    """Shrink KERNEL_BLOCK so the chain kernel serves `rows` rows a block."""
+    per_row = m.ring_rank * max(c.size // c.shape[1] for c in m.cores)
+    monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", rows * per_row)
+
+
+TAPE_PLAN = FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 2))
+
+
+def tape_case(ring, seed=30):
+    """A TT chain (ring 1) or a TR ring, and a batch with repeated rows."""
+    m = random_tt(TAPE_PLAN, 0.9, seed) if ring == 1 else random_tr(TAPE_PLAN, ring, 0.9, seed)
+    layer = TTEmbedding(m)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(layer.vocab, size=30)
+    return layer, idx, rng.standard_normal((idx.size, layer.dim))
+
+
+class TestTape:
+    """forward keeps what the chain kernel built; backward of the same
+    indices starts from it and must give the bits a recompute gives."""
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    @pytest.mark.parametrize("block_rows", [None, 4])
+    def test_tape_and_recompute_agree_bitwise(self, ring, block_rows, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)  # the chain kernel
+        layer, idx, upstream = tape_case(ring)
+        if block_rows:
+            several_blocks(monkeypatch, layer.weights, block_rows)
+        layer.forward(idx)
+        blocks = len(layer._tape.blocks)
+        assert blocks == (1 if block_rows is None else -(-np.unique(idx).size // block_rows))
+        assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
+
+    def test_half_kernel_batch_keeps_no_blocks(self):
+        layer, idx = kernel_case(KERNEL_PLANS[1])
+        assert ttmatrix.half_split(layer.weights, np.unique(idx).size) == 2
+        upstream = np.random.default_rng(31).standard_normal((idx.size, layer.dim))
+        layer.forward(idx)
+        assert layer._tape.blocks == []
+        assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_other_indices_recompute(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        other = (idx + 1) % layer.vocab  # same size, other rows
+        layer.forward(idx)
+        assert_bitwise(layer.backward(other, upstream), fresh_grads(layer, other, upstream))
+        assert_bitwise(layer.backward(idx[:-1], upstream[:-1]),
+                       fresh_grads(layer, idx[:-1], upstream[:-1]))
+
+    def test_forward_copies_the_indices(self, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(3)
+        layer.forward(idx)
+        idx[0] = (idx[0] + 1) % layer.vocab  # the caller reuses its index array
+        assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_apply_gradients_drops_the_tape(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        layer.forward(idx)
+        before = layer.backward(idx, upstream)
+        layer.apply_gradients(before, 0.1)
+        after = layer.backward(idx, upstream)
+        assert_bitwise(after, fresh_grads(layer, idx, upstream))
+        assert not all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_replaced_cores_drop_the_tape(self, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(3)
+        layer.forward(idx)
+        layer.weights.cores[1] = 2.0 * layer.weights.cores[1]  # a new array, not a write
+        assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
+
+    def test_a_tape_refilled_by_a_shallow_copy_is_not_used(self, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(3)
+        twin = copy.copy(layer)  # shares the weights and the tape
+        layer.forward(idx)
+        twin.forward((idx + 1) % layer.vocab)
+        assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_other_row_calls_leave_the_tape_alone(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        several_blocks(monkeypatch, layer.weights, 4)
+        want = fresh_grads(layer, idx, upstream)
+        layer.forward(idx)
+        decodes = count_calls(monkeypatch, MixedRadix, "to_multi")
+        layer.weights.materialize()
+        layer.weights.rows(np.arange(layer.vocab)[::-1])
+        assert len(decodes) == 2
+        assert_bitwise(layer.backward(idx, upstream), want)
+        assert len(decodes) == 2  # backward ran from the tape
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap owner.name so that each call appends to the returned list."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestTapeTraffic:
+    def test_step_decodes_and_sweeps_once(self, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(3)
+        several_blocks(monkeypatch, layer.weights, 4)
+        decodes = count_calls(monkeypatch, MixedRadix, "to_multi")
+        sweeps = count_calls(monkeypatch, ttmatrix.TTMatrix, "_prefixes")
+        layer.forward(idx)
+        layer.backward(idx, upstream)
+        assert len(decodes) == 1
+        assert len(sweeps) == -(-np.unique(idx).size // 4)  # once per block
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_repeated_step_reuses_the_buffer(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        several_blocks(monkeypatch, layer.weights, 4)
+
+        def step():
+            layer.forward(idx)
+            layer.apply_gradients(layer.backward(idx, upstream), 1e-3)
+            return layer._tape.buffer
+
+        first = step()
+        assert step() is first
+        layer.forward(idx[:5])  # a smaller batch fits in the same buffer
+        assert layer._tape.buffer is first

@@ -93,7 +93,9 @@ class TestNumericalRank:
                 m[:, -1] = m[:, 0]  # make it exactly deficient
             assert numerical_rank(m @ m.T) == numerical_rank(m)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize(
+        "tol", [0.0, -1e-9, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"]
+    )
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="^tol_factor must be positive"):
             numerical_rank(np.eye(3), tol)

@@ -223,6 +223,13 @@ class TestMaterialize:
         with pytest.raises(ValueError, match=f"{MATERIALIZE_CAP_ENV}.*'abc'"):
             m.materialize()
 
+    @pytest.mark.parametrize("raw", ["0", "-5"])
+    def test_non_positive_cap_is_named(self, monkeypatch, raw):
+        m = ones_tt(FactorizationPlan((2, 2), (2, 2), 4, (1,)))
+        monkeypatch.setenv(MATERIALIZE_CAP_ENV, raw)
+        with pytest.raises(ValueError, match=f"{MATERIALIZE_CAP_ENV} must be a positive.*'{raw}'"):
+            m.materialize()
+
     def test_cap_enforced(self, monkeypatch):
         plan = FactorizationPlan((8, 8), (8, 8), 64, (1,))
         m = ones_tt(plan)
