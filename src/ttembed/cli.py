@@ -332,7 +332,9 @@ def main(argv=None) -> int:
     out = Printer(porcelain=args.porcelain)
     try:
         return _COMMANDS[args.command](args, out)
-    except (FileFormatError, ShapeError, MemoryError, ValueError, IndexError, OSError) as exc:
+    except (
+        FileFormatError, ShapeError, MemoryError, ValueError, IndexError, OSError, OverflowError
+    ) as exc:
         print(f"ttembed: error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

@@ -22,6 +22,7 @@ reported as FileFormatError too.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -107,7 +108,7 @@ def load_tt(path):
         cores.append(np.frombuffer(raw, dtype="<f8").reshape(d).copy())
     row_factors = tuple(d[1] for d in dims)
     col_factors = tuple(d[2] for d in dims)
-    padded = int(np.prod(row_factors, dtype=np.int64))
+    padded = math.prod(row_factors)
     if not 1 <= vocab <= padded:
         raise FileFormatError(f"vocab {vocab} outside [1, {padded}]")
     try:

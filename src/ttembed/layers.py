@@ -10,14 +10,16 @@ the distinct rows of the batch; backward lets the kernel build prefix
 and suffix products for all distinct rows at once and add each row's
 gradient into every core.
 
-forward keeps a one-batch tape: its indices, their distinct rows and
-inverse, and what the chain kernel built for them (digits, core slices,
-prefixes) in buffers reused from step to step.  backward of the same
-indices starts from the tape instead of decoding, deduplicating,
-gathering and sweeping the prefixes again; any other backward
-recomputes, with bitwise the same result.  So the gradient is taken at
-the cores as forward saw them: apply_gradients drops the tape, and no
-other in-place write to the cores may fall between forward and backward.
+forward keeps a one-batch tape: what the chain kernel built for the
+batch (digits, core slices, prefixes) in buffers reused from step to
+step, and a record of that batch (its indices, core arrays, distinct
+rows and inverse).  backward starts from the tape when the record is of
+its indices and the core arrays held now, instead of decoding,
+deduplicating, gathering and sweeping the prefixes again; any other
+backward recomputes, with bitwise the same result.  Any rows() call
+given the tape drops the record, and so does apply_gradients.  So the
+gradient is taken at the cores as forward saw them: no other in-place
+write to the cores may fall between forward and backward.
 
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
 """
@@ -83,8 +85,6 @@ class TTEmbedding(_Layer):
                 f"vocab {self.vocab} exceeds padded capacity {weights.plan.padded_rows}"
             )
         self._tape = Tape()
-        # of the last forward: (indices, cores, (distinct rows, inverse), tape blocks)
-        self._saved = None
 
     @property
     def dim(self) -> int:
@@ -95,41 +95,32 @@ class TTEmbedding(_Layer):
 
     def forward(self, indices) -> np.ndarray:
         idx = self._check_indices(indices)
-        self._saved = None
         rows, inverse = np.unique(idx, return_inverse=True)
         out = self.weights.rows(rows, self._tape)[inverse]
-        self._saved = (idx.copy(), tuple(self.weights.cores), (rows, inverse), self._tape.blocks)
+        self._tape.batch = (idx.copy(), tuple(self.weights.cores), rows, inverse)
         return out
-
-    def _taped(self, idx) -> bool:
-        """Whether forward's tape is of these indices and of the cores held
-        now, and still holds forward's blocks (rows() refills a tape with a
-        new list, say for a shallow copy of the layer that shares it)."""
-        if self._saved is None:
-            return False
-        saved, cores, _, blocks = self._saved
-        now = self.weights.cores
-        return (
-            np.array_equal(idx, saved)
-            and blocks is self._tape.blocks
-            and len(cores) == len(now)
-            and all(a is b for a, b in zip(cores, now))
-        )
 
     def backward(self, indices, upstream) -> list:
         """Gradients of sum_b <upstream[b], forward(indices)[b]>, one per core.
 
-        After forward of the same indices, with no apply_gradients in
-        between, it starts from forward's tape: the gradient is then taken
+        It starts from the tape when the tape's batch record is of these
+        indices and of the core arrays held now: the gradient is then taken
         at the cores forward saw, so the cores must not be written to in
         place in between.  Otherwise it recomputes; both give the same bits."""
         idx = self._check_indices(indices)
-        distinct, blocks = self._saved[2:] if self._taped(idx) else (None, None)
+        batch, now = self._tape.batch, self.weights.cores
+        taped = (
+            batch is not None
+            and np.array_equal(idx, batch[0])
+            and len(batch[1]) == len(now)
+            and all(a is b for a, b in zip(batch[1], now))
+        )
+        distinct, blocks = (batch[2:], self._tape.blocks) if taped else (None, None)
         rows, summed = self._summed_upstream(idx, upstream, distinct)
         return self.weights.row_grads(rows, summed, blocks)
 
     def apply_gradients(self, grads, step: float) -> None:
-        self._saved = None  # the cores change: forward's tape no longer holds
+        self._tape.clear()  # the cores change: the tape no longer holds
         super().apply_gradients(grads, step)
 
 

@@ -108,14 +108,17 @@ class FactorizationPlan:
 
 
 def _iroot(x: int, n: int) -> int:
-    """floor(x ** (1/n)) for an integer x >= 0; the float guess is
-    corrected in exact integer arithmetic."""
-    r = int(round(x ** (1.0 / n)))
-    while r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    """floor(x ** (1/n)) for an integer x >= 0, in exact integer
+    arithmetic: Newton's iteration from 2 ** ceil(bits / n) >= the root
+    falls monotonically onto it."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        nxt = ((n - 1) * r + x // r ** (n - 1)) // n
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 def _search(size: int, hi: int, n: int):

@@ -23,7 +23,6 @@ DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "TTEMBED_MATERIALIZE_CAP"
 TT_SVD_TRUNCATION_TOL = 1e-12
 KERNEL_BLOCK = 1 << 17  # entries of a row block's largest intermediates
-TAPE_ALIGN = 8  # entries: tape arrays start at multiples of 64 bytes
 
 
 def materialize_cap() -> int:
@@ -78,29 +77,29 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
 
 
 class Tape:
-    """The blocks of the last rows() call given this tape.  Their slices
-    and prefixes are carved from one float buffer that is kept from call
-    to call and grows to the largest call seen, so batches of a recurring
-    size allocate nothing new."""
+    """The blocks of the last rows() call given this tape, and `batch`, a
+    record of what they were built for that the caller sets after the
+    call (None until then).  Their slices and prefixes are carved from one
+    float buffer that is kept from call to call and grows to the largest
+    call seen, so batches of a recurring size allocate nothing new."""
 
     def __init__(self):
-        self.blocks = []
         self.buffer = np.empty(0)
-        self._used = 0
+        self.clear()
 
     def clear(self, entries: int = 0) -> None:
-        """Drop the blocks and make room for `entries` floats in all."""
+        """Drop the blocks and the batch; make room for `entries` floats."""
         self.blocks = []
+        self.batch = None
         self._used = 0
         if entries > self.buffer.size:
             self.buffer = None  # free the old buffer before the new one is made
             self.buffer = np.empty(entries)
 
     def empty(self, shape) -> np.ndarray:
-        """An array carved from the buffer; each starts 64-byte aligned
-        relative to the buffer, as a fresh one would be."""
+        """An array carved from the buffer after the last one."""
         n, start = prod(shape), self._used
-        self._used += -(-n // TAPE_ALIGN) * TAPE_ALIGN
+        self._used += n
         return self.buffer[start : start + n].reshape(shape)
 
 
@@ -150,9 +149,7 @@ class TTMatrix:
         step = max(1, KERNEL_BLOCK // per_row)
         empty = np.empty
         if tape is not None:
-            sizes = self._row_entries()
-            blocks = -(-digits[0].size // step)
-            tape.clear(digits[0].size * sum(sizes) + blocks * len(sizes) * TAPE_ALIGN)
+            tape.clear(digits[0].size * sum(self._row_entries()))
             empty = tape.empty
         for s in range(0, digits[0].size, step):
             d = [x[s : s + step] for x in digits]
@@ -209,8 +206,9 @@ class TTMatrix:
         batches that take different kernels; a given config always makes
         the same choices, so its results stay bitwise reproducible.
 
-        A tape is emptied first; a chain-kernel call then keeps its blocks
-        in it for row_grads, and a half-kernel call keeps none."""
+        A tape is emptied first, its batch record too; a chain-kernel call
+        then keeps its blocks in it for row_grads, and a half-kernel call
+        keeps none."""
         if tape is not None:
             tape.clear()
         s = half_split(self, np.size(indices))
@@ -274,11 +272,11 @@ class TTMatrix:
             for x, (a, ik, jk, rk) in zip(sums, (g.shape for g in self.cores))
         ]
 
-    def materialize(self, cap: int | None = None) -> np.ndarray:
+    def materialize(self) -> np.ndarray:
         """Full dense (padded_rows x cols) matrix, C-ordered: rows over all
         padded rows, so a chain and a ring go through the row kernels.
-        Guarded by an entry cap."""
-        cap = materialize_cap() if cap is None else cap
+        Guarded by the entry cap of materialize_cap()."""
+        cap = materialize_cap()
         rows, cols = self.shape
         if rows * cols > cap:
             raise MemoryError(

@@ -44,6 +44,16 @@ class TestRoundTrip:
         assert back.ring_rank == 2
         assert all(np.array_equal(a, b) for a, b in zip(back.cores, m.cores))
 
+    def test_many_cores(self, tmp_path):
+        # 2**64 padded rows: the row count overflows int64
+        plan = FactorizationPlan((2,) * 64, (2,) * 64, 5, (1,) * 63)
+        m = random_tt(plan, 1.0, 0)
+        path = tmp_path / "m.tte"
+        save_tt(path, m)
+        back = load_tt(path)
+        assert back.plan == plan
+        assert [c.tobytes() for c in back.cores] == [c.tobytes() for c in m.cores]
+
     def test_file_bytes_stable(self, tt, tmp_path):
         _, m, path = tt
         other = tmp_path / "again.tte"

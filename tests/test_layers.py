@@ -397,6 +397,40 @@ class TestTape:
         twin.forward((idx + 1) % layer.vocab)
         assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
 
+    def test_a_tape_refilled_by_a_twin_with_the_same_batch_is_used(self, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(3)
+        twin = copy.copy(layer)  # shares the weights and the tape
+        want = fresh_grads(layer, idx, upstream)
+        layer.forward(idx)
+        twin.forward(idx.copy())
+        decodes = count_calls(monkeypatch, MixedRadix, "to_multi")
+        assert_bitwise(layer.backward(idx, upstream), want)
+        assert decodes == []  # backward ran from the tape
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_rows_given_the_tape_drop_the_record(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        want = fresh_grads(layer, idx, upstream)
+        layer.forward(idx)
+        layer.weights.rows(np.arange(layer.vocab)[::-1], layer._tape)
+        assert layer._tape.batch is None
+        decodes = count_calls(monkeypatch, MixedRadix, "to_multi")
+        assert_bitwise(layer.backward(idx, upstream), want)
+        assert len(decodes) == 1  # backward recomputed
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_backward_leaves_the_tape_unchanged(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        several_blocks(monkeypatch, layer.weights, 4)
+        layer.forward(idx)
+        kept = layer._tape.buffer.copy()
+        first = layer.backward(idx, upstream)
+        assert_bitwise(layer.backward(idx, upstream), first)
+        assert layer._tape.buffer.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("ring", [1, 3])
     def test_other_row_calls_leave_the_tape_alone(self, ring, monkeypatch):
         monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)

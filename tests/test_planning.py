@@ -12,6 +12,7 @@ from ttembed.linalg import ShapeError
 from ttembed.planning import (
     PAD_SLACK,
     FactorizationPlan,
+    _iroot,
     factorize_balanced,
     plan_embedding,
 )
@@ -112,6 +113,30 @@ def test_padded_large_vocabularies():
     t0 = time.perf_counter()
     for size, n, want in cases:
         assert factorize_balanced(size, n, allow_padding=True) == want, (size, n)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_iroot_square_matches_isqrt():
+    rng = np.random.default_rng(5)
+    values = list(range(1001)) + [int(v) for v in rng.integers(1, 10**18, size=200)]
+    values += [10**60, 10**60 - 1, 10**400, (10**150 + 7) ** 2 - 1]
+    for x in values:
+        assert _iroot(x, 2) == math.isqrt(x), x
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_iroot_brackets_the_root(n):
+    rng = np.random.default_rng(n)
+    big = [int.from_bytes(rng.bytes(125), "little") % 10**300 for _ in range(200)]
+    for x in list(range(1001)) + big + [10**300]:
+        r = _iroot(x, n)
+        assert r**n <= x < (r + 1) ** n, (x, n)
+
+
+@pytest.mark.parametrize("allow_padding", [False, True])
+def test_huge_square_factors_exactly(allow_padding):
+    t0 = time.perf_counter()
+    assert factorize_balanced(10**60, 2, allow_padding=allow_padding) == (10**30, 10**30)
     assert time.perf_counter() - t0 < 1.0
 
 

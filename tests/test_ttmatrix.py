@@ -233,8 +233,6 @@ class TestMaterialize:
     def test_cap_enforced(self, monkeypatch):
         plan = FactorizationPlan((8, 8), (8, 8), 64, (1,))
         m = ones_tt(plan)
-        with pytest.raises(MemoryError):
-            m.materialize(cap=100)
         monkeypatch.setenv(MATERIALIZE_CAP_ENV, "100")
         with pytest.raises(MemoryError):
             m.materialize()
