@@ -6,9 +6,9 @@ a list in the order of parameters(), which apply_gradients takes.
 
 TTEmbedding serves a batch from TT or TR weights (TT is the ring with
 closure rank 1) through their batched chain kernel.  forward contracts
-the distinct rows of the batch; backward lets the kernel build prefix
-and suffix products for all distinct rows at once and add each row's
-gradient into every core.
+the distinct rows of the batch; backward runs the kernel's products in
+reverse for all distinct rows at once, from the last core to the
+first, and sums each core's gradient by the rows' digits.
 
 forward keeps a one-batch tape: what the chain kernel built for the
 batch (digits, core slices, prefixes) in buffers reused from step to

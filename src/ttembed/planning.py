@@ -8,18 +8,18 @@ smaller (padded) product, then the lexicographically smallest factor
 tuple, so the planner is fully deterministic.
 
 The search is exact branch and bound over ascending factor tuples whose
-product lies in [size, hi], with hi = ceil(size * 1.2) when padding and
-hi = size otherwise.  The smallest factor a runs downward from at most
-c = ceil(size ** (1/n)): either (c,) * n fits under hi and beats every
-tuple with a larger smallest factor, or no such tuple fits.  For each
-prefix only the smallest feasible last factor is tried, since it wins
-on both spread and product.  Once a tuple with spread d is known, no
-other factor may exceed a + d (a tie may still win on product or
-tuple).  A prefix is kept only if some multiple of its product lies in
-[size, hi] (divisibility when hi == size), and the scan over a stops
-when (a + d) ** n < size, as no smaller tuple can reach size.  Every
-cut discards only tuples with a larger key, so the result is the
-optimum of the full enumeration, which the tests check against a
+product lies in [size, hi], with hi = ceil(size * 6/5), exact at any
+size, when padding and hi = size otherwise.  The smallest factor a runs
+downward from at most c = ceil(size ** (1/n)): either (c,) * n fits
+under hi and beats every tuple with a larger smallest factor, or no such
+tuple fits.  For each prefix only the smallest feasible last factor is
+tried, since it wins on both spread and product.  Once a tuple with
+spread d is known, no other factor may exceed a + d (a tie may still
+win on product or tuple).  A prefix is kept only if some multiple of its
+product lies in [size, hi] (divisibility when hi == size), and the scan
+over a stops when (a + d) ** n < size, as no smaller tuple can reach
+size.  Every cut discards only tuples with a larger key, so the result
+is the optimum of the full enumeration, which the tests check against a
 brute-force oracle.
 """
 
@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 
 import numpy as np
 
 from .linalg import ShapeError
 
-PAD_SLACK = 0.2
+PAD_SLACK = Fraction(1, 5)  # exact, so the padding window is exact at any size
 
 
 def _as_int(value, what: str) -> int:
@@ -162,7 +163,7 @@ def factorize_balanced(size: int, n: int, allow_padding: bool = False) -> tuple:
         raise ShapeError("size and n must be >= 1")
     if n == 1:
         return (size,)
-    hi = math.ceil(size * (1.0 + PAD_SLACK)) if allow_padding else size
+    hi = math.ceil(size * (1 + PAD_SLACK)) if allow_padding else size
     best = _search(size, hi, n)
     if best is None:
         what = f"[{size}, {hi}]" if allow_padding else str(size)

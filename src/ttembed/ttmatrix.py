@@ -140,21 +140,25 @@ class TTMatrix:
         """Yield, per block of the rows at `indices`, what the chain kernel
         builds for it: (the block's positions in the batch, the rows'
         digits, core k's slices at them as (B, R_{k-1}, J_k, R_k), the
-        rows' prefixes).  Blocks are sized so that their intermediates,
-        about c * R_{k-1} * J_k * R_k entries a row, stay small enough for
-        the allocator to reuse.  With a tape, the slices and prefixes are
-        built in its buffer and the blocks are kept in it."""
+        rows' prefixes).  Slice 0 is gathered in prefix 1's layout, as
+        prefix 1 is slice 0; the others are gathered core by core.  Blocks
+        are sized so that the largest per-row array of forward or backward,
+        one of _row_entries(), stays small enough for the allocator to
+        reuse.  With a tape, the slices and prefixes are built in its
+        buffer and the blocks are kept in it."""
         digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
-        per_row = self.ring_rank * max(c.size // c.shape[1] for c in self.cores)
-        step = max(1, KERNEL_BLOCK // per_row)
+        step = max(1, KERNEL_BLOCK // max(self._row_entries()))
         empty = np.empty
         if tape is not None:
             tape.clear(digits[0].size * sum(self._row_entries()))
             empty = tape.empty
+        first = np.ascontiguousarray(self.cores[0].transpose(1, 2, 0, 3))  # (I_1, J_1, c, R_1)
         for s in range(0, digits[0].size, step):
             d = [x[s : s + step] for x in digits]
-            slices = []
-            for g, x in zip(self.cores, d):  # the digits are checked: clip is a no-op
+            # the digits are checked: clip is a no-op
+            out = empty((d[0].size,) + first.shape[1:])
+            slices = [np.take(first, d[0], axis=0, out=out, mode="clip").transpose(0, 2, 1, 3)]
+            for g, x in zip(self.cores[1:], d[1:]):
                 r, _, j, rn = g.shape
                 out = np.take(g, x, axis=1, out=empty((r, x.size, j, rn)), mode="clip")
                 slices.append(out.transpose(1, 0, 2, 3))
@@ -164,8 +168,12 @@ class TTMatrix:
             yield blk
 
     def _row_entries(self) -> list:
-        """Entries a row takes in each of its slices and prefixes 1..N-1."""
-        sizes = [g.size // g.shape[1] for g in self.cores]
+        """Entries a row takes in each of its slices 1..N-1 (slice 0 when
+        N = 1) and prefixes 1..N-1: all the tape keeps, since prefix 1 is
+        slice 0.  Except for the upstream, row_grads' per-row arrays are
+        no larger: the gradient of a prefix, dnext (the size of the next
+        prefix) and copies of slices and prefixes."""
+        sizes = [g.size // g.shape[1] for g in self.cores[1:] or self.cores]
         p = self.ring_rank
         for g in self.cores[:-1]:
             p *= g.shape[2]
@@ -174,18 +182,22 @@ class TTMatrix:
 
     def _prefixes(self, slices, empty) -> list:
         """The products of each row's first k = 0..N-1 slices,
-        (B, c * J_1..J_k, R_k) with c slowest and J_1 fastest, built in
-        arrays from empty(shape).  A row's result does not depend on the
-        other rows of its block."""
+        (B, J_k..J_1 * c, R_k) with J_1 fastest of the J and the closure c
+        next to R_k, built in arrays from empty(shape).  Prefix 0 is the
+        identity and prefix 1 is slice 0 itself, which _sweep gathers in
+        this order.  A row's result does not depend on the other rows of
+        its block."""
         b, c = slices[0].shape[0], self.ring_rank
-        acc = np.broadcast_to(np.eye(c), (b, c, c))
-        out = [acc]
-        for g in slices[:-1]:
+        out = [np.broadcast_to(np.eye(c), (b, c, c))]
+        if len(slices) > 1:
+            out.append(slices[0].transpose(0, 2, 1, 3).reshape(b, -1, slices[0].shape[3]))
+        for g in slices[1:-1]:
+            acc = out[-1]
             r, jk, rk = g.shape[1:]
             p = acc.shape[1] // c
-            nxt = (acc @ g.reshape(b, r, jk * rk)).reshape(b, c, p, jk, rk)
-            acc = empty((b, c * jk * p, rk))
-            acc.reshape(b, c, jk, p, rk)[...] = nxt.transpose(0, 1, 3, 2, 4)
+            nxt = (acc @ g.reshape(b, r, jk * rk)).reshape(b, p, c, jk, rk)
+            acc = empty((b, jk * p * c, rk))
+            acc.reshape(b, jk, p, c, rk)[...] = nxt.transpose(0, 3, 1, 2, 4)
             out.append(acc)
         return out
 
@@ -220,8 +232,7 @@ class TTMatrix:
             acc, g = prefixes[-1], slices[-1]  # g: (B, R_{N-1}, J_N, c)
             b, r, jn = g.shape[:3]
             p = acc.shape[1] // c
-            acc = acc.reshape(b, c, p, r).transpose(0, 2, 1, 3).reshape(b, p, c * r)
-            acc = acc @ g.transpose(0, 3, 1, 2).reshape(b, c * r, jn)
+            acc = acc.reshape(b, p, c * r) @ g.transpose(0, 3, 1, 2).reshape(b, c * r, jn)
             out[span] = acc.transpose(0, 2, 1).reshape(b, jn * p)
         return out
 
@@ -230,47 +241,65 @@ class TTMatrix:
         return self.rows([i])[0]
 
     def row_grads(self, indices, upstream, blocks=None) -> list:
-        """Gradient of sum_b <upstream[b], rows(indices)[b]> w.r.t. each core.
-        Row b's core-k gradient contracts its prefix, its upstream viewed as
-        (suffix cols, J_k, prefix cols) and its suffix; a one-hot matmul
-        sums a block's rows by digit i_k into the rows of a contiguous
-        (I_k, R_k * J_k * R_{k-1}) sum, transposed to the core's layout at
-        the end.
+        """Gradient of sum_b <upstream[b], rows(indices)[b]> w.r.t. each core,
+        by reverse mode through the products rows() formed, per block.
+
+        Cores, slices and prefixes count from 0 here, prefix k being the
+        product of slices 0..k-1; core k has column factor J and ranks
+        (R', R), and P is the product of the column factors before it.
+        The last core: rows() multiplied each row's last prefix, viewed as
+        left (P, c R'), by g, its last slice as (c R', J).  With u the
+        row's upstream as (P, J), the last core's gradient takes left^T u,
+        and d left = u g^T is the gradient of that prefix.  Cores
+        k = N-2..1: undoing forward's (J, P) transpose of d prefix_{k+1}
+        gives dnext (P c, J R), the gradient of prefix_k times slice k;
+        core k's gradient takes prefix_k^T dnext, and
+        d prefix_k = dnext slice_k^T carries on.  Core 0: prefix 1 is
+        slice 0, so its gradient is d prefix_1 itself.
+        No suffix products and no per-row gradients are formed.  Each core
+        sums its rows by digit i_k, over rows grouped by a stable sort of
+        the digits (skipped when they are sorted, as the last core's are
+        for np.unique's rows): one GEMM over each distinct digit's rows
+        for cores 1..N-1, and np.add.reduceat for core 0.
 
         `blocks` are those a rows(indices, tape) call kept; without them
         (or after a half-kernel call, which keeps none) the blocks are
         built again.  Kept blocks hold the slices and prefixes of the cores
         as that call saw them, so the gradient is taken there: the cores
         must not be written to in between."""
-        c = self.ring_rank
+        c, n = self.ring_rank, len(self.cores)
         upstream = np.asarray(upstream, dtype=np.float64)
-        sums = [np.zeros((x.shape[1], x.size // x.shape[1])) for x in self.cores]
+        sums = [np.zeros((g.shape[1], g.size // g.shape[1])) for g in self.cores]
         for span, digits, slices, prefixes in blocks or self._sweep(indices):
-            u = upstream[span]
-            b = u.shape[0]
-            right = np.broadcast_to(np.eye(c), (b, c, c))  # (B, c * J_{k+1}..J_N, R_k)
-            for k in reversed(range(len(self.cores))):
+            g = slices[-1]  # (B, R_{N-1}, J_N, c)
+            b, r, jn = g.shape[:3]
+            p = prefixes[-1].shape[1] // c
+            left = prefixes[-1].reshape(b, p, c * r)
+            u = np.ascontiguousarray(upstream[span].reshape(b, jn, p).transpose(0, 2, 1))
+            _digit_gemms(sums[-1], digits[-1], left, u)
+            if n == 1:
+                continue
+            d = u @ g.transpose(0, 2, 3, 1).reshape(b, jn, c * r)  # d prefix_{N-1}
+            for k in range(n - 2, 0, -1):
                 a, _, jk, rk = self.cores[k].shape
-                lk = prefixes[k]
-                p, q = lk.shape[1] // c, right.shape[1] // c
-                if k:
-                    t = u.reshape(b, 1, q * jk, p) @ lk.reshape(b, c, p, a)
-                    g = right.transpose(0, 2, 1) @ t.reshape(b, c * q, jk * a)
-                else:  # the prefix is the identity: skip the (c, cols, c) product
-                    g = right.reshape(b, c, q, rk).transpose(0, 1, 3, 2) @ u.reshape(b, 1, q, jk)
-                    g = g.transpose(0, 2, 3, 1)
-                # one-hot rows for the digits present only: an all-I_k one-hot turns a
-                # one-value block into a many-row product, which BLAS sums in another order
-                vals, inv = np.unique(digits[k], return_inverse=True)
-                sums[k][vals] += (np.arange(vals.size)[:, None] == inv) @ g.reshape(b, rk * jk * a)
-                if k:
-                    s = slices[k].reshape(b, a * jk, rk)
-                    right = (right @ s.transpose(0, 2, 1)).reshape(b, c, q, a, jk)
-                    right = right.transpose(0, 1, 2, 4, 3).reshape(b, c * q * jk, a)
-        return [
-            x.reshape(ik, rk, jk, a).transpose(3, 0, 2, 1).copy()
-            for x, (a, ik, jk, rk) in zip(sums, (g.shape for g in self.cores))
-        ]
+                p = prefixes[k].shape[1] // c
+                dnext = d.reshape(b, jk, p, c, rk).transpose(0, 2, 3, 1, 4)
+                dnext = dnext.reshape(b, p * c, jk * rk)
+                _digit_gemms(sums[k], digits[k], prefixes[k], dnext)
+                d = dnext @ slices[k].reshape(b, a, jk * rk).transpose(0, 2, 1)  # d prefix_k
+            vals, starts, (d,) = _digit_runs(digits[0], [d.reshape(b, -1)])
+            sums[0][vals] += np.add.reduceat(d, starts)
+        # row i_k of each sum holds its columns in the order the products made them
+        grads = []
+        for k, (x, (a, ik, jk, rk)) in enumerate(zip(sums, (g.shape for g in self.cores))):
+            if k == n - 1:  # (c, R_{N-1}, J_N): the columns of left^T u
+                x = x.reshape(ik, c, a, jk).transpose(2, 0, 3, 1)
+            elif k == 0:  # (J_1, c, R_1): prefix 1's layout
+                x = x.reshape(ik, jk, a, rk).transpose(2, 0, 1, 3)
+            else:
+                x = x.reshape(ik, a, jk, rk).transpose(1, 0, 2, 3)
+            grads.append(x.copy())
+        return grads
 
     def materialize(self) -> np.ndarray:
         """Full dense (padded_rows x cols) matrix, C-ordered: rows over all
@@ -288,6 +317,29 @@ class TTMatrix:
         return CompressionStats.from_counts(
             sum(c.size for c in self.cores), self.plan.padded_rows * self.plan.cols
         )
+
+
+def _digit_runs(digits, arrays) -> tuple:
+    """(the distinct digits, where each one's run of rows starts, the
+    arrays with their rows in run order), the rows grouped by a stable
+    sort of the digits, which is skipped when they are sorted already."""
+    if np.any(digits[1:] < digits[:-1]):
+        order = np.argsort(digits, kind="stable")
+        digits = digits[order]
+        arrays = [np.take(x, order, axis=0) for x in arrays]
+    starts = np.flatnonzero(np.diff(digits, prepend=-1))
+    return digits[starts], starts, arrays
+
+
+def _digit_gemms(sums, digits, lhs, rhs) -> None:
+    """Add to row i of `sums` the sum of lhs[b]^T rhs[b] over the rows b
+    with digit i, raveled, for each distinct digit i, by one GEMM over
+    that digit's rows."""
+    vals, starts, (lhs, rhs) = _digit_runs(digits, [lhs, rhs])
+    bounds = (np.append(starts, digits.size) * lhs.shape[1]).tolist()
+    lhs, rhs = lhs.reshape(-1, lhs.shape[2]), rhs.reshape(-1, rhs.shape[2])
+    for i, s, e in zip(vals.tolist(), bounds, bounds[1:]):
+        sums[i] += (lhs[s:e].T @ rhs[s:e]).ravel()
 
 
 def _chain_row_flops(m: TTMatrix) -> int:

@@ -180,6 +180,62 @@ class TestBatchedKernel:
         assert gradient_audit(layer, idx, upstream) < 1e-5
 
 
+GRAD_PLANS = [
+    FactorizationPlan((7,), (5,), 7, ()),
+    FactorizationPlan((3, 4), (2, 3), 12, (3,)),
+    FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 2)),
+    FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2)),
+]
+
+
+def grad_model(plan, ring):
+    return random_tt(plan, 0.9, 40) if ring == 1 else random_tr(plan, ring, 0.9, 40)
+
+
+def assert_grads_close(got, want):
+    assert [g.shape for g in got] == [w.shape for w in want]
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+
+class TestRowGrads:
+    """row_grads called directly, on rows in no order and with repeats, so
+    that each core groups its rows by a sort: against the item loop."""
+
+    @pytest.mark.parametrize("plan", GRAD_PLANS)
+    @pytest.mark.parametrize("ring", [1, 3, 4])
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_unsorted_rows_with_repeats(self, plan, ring, block_rows, monkeypatch):
+        m = grad_model(plan, ring)
+        rng = np.random.default_rng(41)
+        idx = rng.integers(plan.padded_rows, size=24)
+        idx[-4:] = idx[:4]  # repeats
+        digits = MixedRadix(plan.row_factors).to_multi(idx)
+        assert all(np.any(x[1:] < x[:-1]) for x in digits)  # every core sorts
+        upstream = rng.standard_normal((idx.size, plan.cols))
+        if block_rows:
+            monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", block_rows * max(m._row_entries()))
+        assert_grads_close(m.row_grads(idx, upstream), loop_backward(m, idx, upstream))
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    @pytest.mark.parametrize("idx", [[7, 7, 7], [2, 14, 8, 20], [17, 15, 16, 15], [11]])
+    def test_shared_digits_and_one_row(self, ring, idx):
+        # one row repeated, rows sharing their first digit, rows sharing
+        # digits 2 and 3, and a single row
+        plan = GRAD_PLANS[2]
+        m = grad_model(plan, ring)
+        upstream = np.random.default_rng(42).standard_normal((len(idx), plan.cols))
+        assert_grads_close(m.row_grads(np.array(idx), upstream),
+                           loop_backward(m, idx, upstream))
+
+    @pytest.mark.parametrize("plan", GRAD_PLANS)
+    def test_empty_batch(self, plan):
+        m = grad_model(plan, 3)
+        grads = m.row_grads(np.array([], dtype=np.int64), np.zeros((0, plan.cols)))
+        assert [g.shape for g in grads] == [c.shape for c in m.cores]
+        assert not any(g.any() for g in grads)
+
+
 class TestBackwardTT:
     def test_finite_difference(self):
         plan = FactorizationPlan((2, 3), (3, 2), 6, (2,))
@@ -314,8 +370,7 @@ def assert_bitwise(got, want):
 
 def several_blocks(monkeypatch, m, rows):
     """Shrink KERNEL_BLOCK so the chain kernel serves `rows` rows a block."""
-    per_row = m.ring_rank * max(c.size // c.shape[1] for c in m.cores)
-    monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", rows * per_row)
+    monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", rows * max(m._row_entries()))
 
 
 TAPE_PLAN = FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 2))

@@ -5,6 +5,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from ttembed import planning
 from ttembed.analysis import compression_table, init_statistics
 from ttembed.indexing import MixedRadix
 from ttembed.layers import TTEmbedding
@@ -138,6 +139,20 @@ def test_huge_square_factors_exactly(allow_padding):
     t0 = time.perf_counter()
     assert factorize_balanced(10**60, 2, allow_padding=allow_padding) == (10**30, 10**30)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("size", [2**53 + 1, 10**60])
+def test_padded_window_is_exact(size, monkeypatch):
+    seen = []
+    search = planning._search
+
+    def recording(size, hi, n):
+        seen.append(hi)
+        return search(size, hi, n)
+
+    monkeypatch.setattr(planning, "_search", recording)
+    factorize_balanced(size, 2, allow_padding=True)
+    assert seen == [(6 * size + 4) // 5]
 
 
 def test_plan_reference_case():

@@ -84,8 +84,7 @@ class TestBatchedKernel:
         plan = FactorizationPlan((2, 3, 2), (3, 2, 2), 12, (3, 2))
         m = random_tr(plan, 4, 1.0, 22)
         # blocks of 5, 5 and 2 rows
-        per_row = 4 * max(c.size // c.shape[1] for c in m.cores)
-        monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", 5 * per_row)
+        monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", 5 * max(m._row_entries()))
         dense = m.materialize()
         for i in range(12):
             assert dense[i].tobytes() == m.row(i).tobytes()
