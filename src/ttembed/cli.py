@@ -18,7 +18,7 @@ from .fileformat import FileFormatError, load_dmat, load_tt, save_dmat, save_tt
 from .layers import TTEmbedding
 from .linalg import ShapeError
 from .planning import FactorizationPlan, factorize_balanced, plan_embedding
-from .trmatrix import TRMatrix, random_tr
+from .trmatrix import random_tr
 from .ttmatrix import TTMatrix, glorot_tt, tt_svd
 
 USAGE_EXIT = 1
@@ -200,7 +200,7 @@ def _cmd_lookup(args, out: Printer) -> int:
 def _cmd_stats(args, out: Printer) -> int:
     m = load_tt(args.infile)
     s = m.stats()
-    out.kv("kind", "tr" if isinstance(m, TRMatrix) else "tt")
+    out.kv("kind", "tr" if m.closed else "tt")
     out.kv("vocab", m.plan.requested_rows)
     out.kv("padded_rows", m.plan.padded_rows)
     out.kv("cols", m.plan.cols)

@@ -50,11 +50,10 @@ def _take(buf: bytes, offset: int, size: int, what: str):
 
 
 def save_tt(path, m) -> None:
-    """Write a TTMatrix (kind 0) or TRMatrix (kind 1) losslessly."""
+    """Write a chain (kind 0) or a ring (kind 1, m.closed) losslessly."""
     if not isinstance(m, TTMatrix):
         raise TypeError("expected TTMatrix or TRMatrix")
-    kind = int(isinstance(m, TRMatrix))  # TRMatrix subclasses TTMatrix
-    parts = [TT_MAGIC, struct.pack("<BBH", kind, DTYPE_FLOAT64, len(m.cores))]
+    parts = [TT_MAGIC, struct.pack("<BBH", int(m.closed), DTYPE_FLOAT64, len(m.cores))]
     for c in m.cores:
         parts.append(struct.pack("<4I", *c.shape))
     parts.append(struct.pack("<Q", m.plan.requested_rows))

@@ -10,15 +10,13 @@ the distinct rows of the batch; backward runs the kernel's products in
 reverse for all distinct rows at once, from the last core to the
 first, and sums each core's gradient by the rows' digits.
 
-forward keeps a one-batch tape: what the chain kernel built for the
-batch (digits, core slices, prefixes) in buffers reused from step to
-step, and a record of that batch (its indices, core arrays, distinct
-rows and inverse).  backward starts from the tape when the record is of
-its indices and the core arrays held now, instead of decoding,
-deduplicating, gathering and sweeping the prefixes again; any other
-backward recomputes, with bitwise the same result.  Any rows() call
-given the tape drops the record, and so does apply_gradients.  So the
-gradient is taken at the cores as forward saw them: no other in-place
+forward hands the kernel a one-batch tape: what the chain kernel built
+for the batch's distinct rows (digits, core slices, prefixes), in
+buffers reused from step to step.  backward hands the same tape to
+row_grads, which starts from it only when it holds these distinct rows
+and the core arrays held now, and otherwise recomputes, with bitwise the
+same result (TTMatrix.row_grads owns that rule).  apply_gradients
+clears the tape, as it writes the cores in place; no other in-place
 write to the cores may fall between forward and backward.
 
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
@@ -42,16 +40,14 @@ class _Layer:
             raise IndexError(f"index outside vocabulary [0, {self.vocab})")
         return idx
 
-    def _summed_upstream(self, idx, upstream, distinct=None):
-        """The batch's distinct rows, sorted, and each row's summed
-        upstream; `distinct` is np.unique(idx, return_inverse=True) if
-        already known."""
+    def _summed_upstream(self, idx, upstream):
+        """The batch's distinct rows, sorted, and each row's summed upstream."""
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (idx.size, self.dim):
             raise ShapeError(
                 f"upstream shape {upstream.shape} != ({idx.size}, {self.dim})"
             )
-        rows, inverse = distinct or np.unique(idx, return_inverse=True)
+        rows, inverse = np.unique(idx, return_inverse=True)
         # sum the upstream of repeated rows: bin (row, column) pairs
         bins = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
         summed = np.bincount(bins, upstream.ravel(), rows.size * self.dim)
@@ -96,28 +92,16 @@ class TTEmbedding(_Layer):
     def forward(self, indices) -> np.ndarray:
         idx = self._check_indices(indices)
         rows, inverse = np.unique(idx, return_inverse=True)
-        out = self.weights.rows(rows, self._tape)[inverse]
-        self._tape.batch = (idx.copy(), tuple(self.weights.cores), rows, inverse)
-        return out
+        return self.weights.rows(rows, self._tape)[inverse]
 
     def backward(self, indices, upstream) -> list:
         """Gradients of sum_b <upstream[b], forward(indices)[b]>, one per core.
 
-        It starts from the tape when the tape's batch record is of these
-        indices and of the core arrays held now: the gradient is then taken
-        at the cores forward saw, so the cores must not be written to in
-        place in between.  Otherwise it recomputes; both give the same bits."""
-        idx = self._check_indices(indices)
-        batch, now = self._tape.batch, self.weights.cores
-        taped = (
-            batch is not None
-            and np.array_equal(idx, batch[0])
-            and len(batch[1]) == len(now)
-            and all(a is b for a, b in zip(batch[1], now))
-        )
-        distinct, blocks = (batch[2:], self._tape.blocks) if taped else (None, None)
-        rows, summed = self._summed_upstream(idx, upstream, distinct)
-        return self.weights.row_grads(rows, summed, blocks)
+        It starts from forward's tape when that served the same distinct
+        rows from the core arrays held now; otherwise it recomputes, with
+        the same bits."""
+        rows, summed = self._summed_upstream(self._check_indices(indices), upstream)
+        return self.weights.row_grads(rows, summed, self._tape)
 
     def apply_gradients(self, grads, step: float) -> None:
         self._tape.clear()  # the cores change: the tape no longer holds

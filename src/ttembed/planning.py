@@ -124,35 +124,41 @@ def _iroot(x: int, n: int) -> int:
 
 def _search(size: int, hi: int, n: int):
     """Least key (max - min, product, factors) over ascending n-tuples
-    (n >= 2) of factors >= 2 whose product lies in [size, hi], or None."""
+    (n >= 2) of factors >= 2 whose product lies in [size, hi], or None.
+    The prefixes are walked depth-first, each one's next factor in
+    ascending order, over an explicit stack, so n is not bounded by the
+    recursion limit."""
     slack = hi - size
     best = None
     spread = hi  # best[0] once a tuple is found; above any spread before
+    stack = []  # (prefix, its product, factors still to add, next factor candidates)
 
-    def extend(factors, p, m):
-        # complete the prefix `factors` (product p) with m more factors
+    def visit(factors, p, m):
+        # a prefix `factors` (product p) that m more factors complete
         nonlocal best, spread
-        a, f = factors[0], factors[-1]
-        if m == 1:
-            g = max(f, -(-size // p))  # smallest feasible last factor
-            if p * g <= hi:
-                key = (g - a, p * g, factors + (g,))
-                if best is None or key < best:
-                    best, spread = key, key[0]
+        f = factors[-1]
+        if m > 1:
+            stack.append((factors, p, m, iter(range(f, _iroot(hi // p, m) + 1))))
             return
-        for f in range(f, _iroot(hi // p, m) + 1):
-            if f > a + spread:
-                break
-            q = p * f
-            if -size % q <= slack:  # some multiple of q lies in [size, hi]
-                extend(factors + (f,), q, m - 1)
+        g = max(f, -(-size // p))  # smallest feasible last factor
+        if p * g <= hi:
+            key = (g - factors[0], p * g, factors + (g,))
+            if best is None or key < best:
+                best, spread = key, key[0]
 
     top = min(_iroot(hi, n), _iroot(size - 1, n) + 1)
     for a in range(top, 1, -1):
         if (a + spread) ** n < size:
             break  # every factor of a smaller tuple is at most a + spread
         if -size % a <= slack:
-            extend((a,), a, n - 1)
+            visit((a,), a, n - 1)
+        while stack:
+            factors, p, m, candidates = stack[-1]
+            f = next(candidates, None)
+            if f is None or f > factors[0] + spread:
+                stack.pop()
+            elif -size % (p * f) <= slack:  # some multiple of p f lies in [size, hi]
+                visit(factors + (f,), p * f, m - 1)
     return best
 
 

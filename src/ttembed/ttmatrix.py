@@ -77,20 +77,20 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
 
 
 class Tape:
-    """The blocks of the last rows() call given this tape, and `batch`, a
-    record of what they were built for that the caller sets after the
-    call (None until then).  Their slices and prefixes are carved from one
-    float buffer that is kept from call to call and grows to the largest
-    call seen, so batches of a recurring size allocate nothing new."""
+    """What the last rows() call given this tape built on the chain kernel:
+    its blocks, and the indices and core arrays they were built for
+    (`indices` is None after a half-kernel call, which builds none).  The
+    blocks' slices and prefixes are carved from one float buffer that is
+    kept from call to call and grows to the largest call seen, so batches
+    of a recurring size allocate nothing new."""
 
     def __init__(self):
         self.buffer = np.empty(0)
         self.clear()
 
     def clear(self, entries: int = 0) -> None:
-        """Drop the blocks and the batch; make room for `entries` floats."""
-        self.blocks = []
-        self.batch = None
+        """Drop the blocks and their record; make room for `entries` floats."""
+        self.blocks, self.indices, self.cores = [], None, ()
         self._used = 0
         if entries > self.buffer.size:
             self.buffer = None  # free the old buffer before the new one is made
@@ -101,6 +101,17 @@ class Tape:
         n, start = prod(shape), self._used
         self._used += n
         return self.buffer[start : start + n].reshape(shape)
+
+    def holds(self, indices, cores) -> bool:
+        """Whether the blocks were built for these very core arrays (a
+        cleared tape holds none) and for these indices, of the same dtype."""
+        indices = np.ravel(indices)
+        return (
+            len(cores) == len(self.cores)
+            and all(a is b for a, b in zip(cores, self.cores))
+            and indices.dtype == self.indices.dtype
+            and np.array_equal(indices, self.indices)
+        )
 
 
 class TTMatrix:
@@ -145,7 +156,8 @@ class TTMatrix:
         are sized so that the largest per-row array of forward or backward,
         one of _row_entries(), stays small enough for the allocator to
         reuse.  With a tape, the slices and prefixes are built in its
-        buffer and the blocks are kept in it."""
+        buffer, and the blocks, once all are built, are kept in it with the
+        indices and core arrays they were built for."""
         digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
         step = max(1, KERNEL_BLOCK // max(self._row_entries()))
         empty = np.empty
@@ -166,6 +178,8 @@ class TTMatrix:
             if tape is not None:
                 tape.blocks.append(blk)
             yield blk
+        if tape is not None:
+            tape.indices, tape.cores = np.ravel(indices).copy(), tuple(self.cores)
 
     def _row_entries(self) -> list:
         """Entries a row takes in each of its slices 1..N-1 (slice 0 when
@@ -218,9 +232,9 @@ class TTMatrix:
         batches that take different kernels; a given config always makes
         the same choices, so its results stay bitwise reproducible.
 
-        A tape is emptied first, its batch record too; a chain-kernel call
-        then keeps its blocks in it for row_grads, and a half-kernel call
-        keeps none."""
+        A tape is emptied first; a chain-kernel call then keeps its blocks
+        in it for row_grads, with the indices and core arrays they were
+        built for, and a half-kernel call leaves it empty."""
         if tape is not None:
             tape.clear()
         s = half_split(self, np.size(indices))
@@ -240,7 +254,7 @@ class TTMatrix:
         """Row i; output entry j has j_1 fastest."""
         return self.rows([i])[0]
 
-    def row_grads(self, indices, upstream, blocks=None) -> list:
+    def row_grads(self, indices, upstream, tape: "Tape | None" = None) -> list:
         """Gradient of sum_b <upstream[b], rows(indices)[b]> w.r.t. each core,
         by reverse mode through the products rows() formed, per block.
 
@@ -262,15 +276,17 @@ class TTMatrix:
         for np.unique's rows): one GEMM over each distinct digit's rows
         for cores 1..N-1, and np.add.reduceat for core 0.
 
-        `blocks` are those a rows(indices, tape) call kept; without them
-        (or after a half-kernel call, which keeps none) the blocks are
-        built again.  Kept blocks hold the slices and prefixes of the cores
-        as that call saw them, so the gradient is taken there: the cores
-        must not be written to in between."""
+        It starts from the tape's blocks when the tape holds these indices
+        and the core arrays held now, as after rows(indices, tape) on the
+        chain kernel; otherwise it builds the blocks again, with bitwise
+        the same result.  Kept blocks hold the slices and prefixes of the
+        cores as that call saw them, so the gradient is taken there: the
+        cores must not be written to in place in between."""
         c, n = self.ring_rank, len(self.cores)
         upstream = np.asarray(upstream, dtype=np.float64)
         sums = [np.zeros((g.shape[1], g.size // g.shape[1])) for g in self.cores]
-        for span, digits, slices, prefixes in blocks or self._sweep(indices):
+        taped = tape is not None and tape.holds(indices, self.cores)
+        for span, digits, slices, prefixes in tape.blocks if taped else self._sweep(indices):
             g = slices[-1]  # (B, R_{N-1}, J_N, c)
             b, r, jn = g.shape[:3]
             p = prefixes[-1].shape[1] // c

@@ -1,7 +1,8 @@
 """The benchmark in bench/ reaches into ttembed by name: run.py imports the
-modules in its MODULES tuple, and tracing.py wraps the attribute paths in
-its TARGETS.  Renaming or dropping one of them fails here, not only in a
-traced benchmark run."""
+modules in its MODULES tuple, tracing.py wraps the attribute paths in
+its TARGETS, and workloads.py calls <module>.<name> on the modules run.py
+hands it.  Renaming or dropping one of them fails here, not only in a
+benchmark run."""
 
 import ast
 import importlib
@@ -31,8 +32,25 @@ def _trace_targets() -> dict:
     return module.TARGETS
 
 
+def _workload_names() -> list:
+    """Every <module>.<name> that bench/workloads.py reaches through
+    `mods.<module>` or `self.mods.<module>`, or through a local alias named
+    after one of run.py's MODULES, read without importing it."""
+    names = set()
+    for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Attribute) and ast.unparse(base.value) in ("mods", "self.mods"):
+            names.add(f"{base.attr}.{node.attr}")
+        elif isinstance(base, ast.Name) and base.id in MODULES:
+            names.add(f"{base.id}.{node.attr}")
+    return sorted(names)
+
+
 MODULES = _run_modules()
 TARGETS = _trace_targets()
+WORKLOAD_NAMES = _workload_names()
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -49,3 +67,14 @@ def test_trace_target_resolves(span, path):
         assert hasattr(owner, part), f"{span}: {path} does not resolve at {part!r}"
         owner = getattr(owner, part)
     assert callable(owner), f"{span}: {path} is not callable"
+
+
+def test_workloads_reach_names():
+    assert WORKLOAD_NAMES, "no <module>.<name> found in bench/workloads.py"
+
+
+@pytest.mark.parametrize("path", WORKLOAD_NAMES)
+def test_workload_name_resolves(path):
+    module, name = path.split(".")
+    assert module in MODULES, f"{path}: module {module!r} is not imported by bench/run.py"
+    assert hasattr(importlib.import_module(f"ttembed.{module}"), name), f"{path} does not resolve"

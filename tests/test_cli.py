@@ -87,6 +87,11 @@ class TestFactorize:
         assert code == 0
         assert out.split() == [str(10**200)] * 2
 
+    def test_more_cores_than_the_recursion_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "factorize", "--size", str(2**1100), "--n", "1100")
+        assert code == 0
+        assert out.split() == ["2"] * 1100
+
 
 class TestInitStatsLookup:
     def test_init_stats_roundtrip(self, capsys, tmp_path):

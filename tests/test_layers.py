@@ -470,7 +470,7 @@ class TestTape:
         want = fresh_grads(layer, idx, upstream)
         layer.forward(idx)
         layer.weights.rows(np.arange(layer.vocab)[::-1], layer._tape)
-        assert layer._tape.batch is None
+        assert np.array_equal(layer._tape.indices, np.arange(layer.vocab)[::-1])
         decodes = count_calls(monkeypatch, MixedRadix, "to_multi")
         assert_bitwise(layer.backward(idx, upstream), want)
         assert len(decodes) == 1  # backward recomputed

@@ -141,6 +141,12 @@ def test_huge_square_factors_exactly(allow_padding):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("allow_padding", [False, True])
+def test_more_cores_than_the_recursion_limit(allow_padding):
+    # the search walks one prefix per factor: 1100 factors of 2 must not recurse 1100 deep
+    assert factorize_balanced(2**1100, 1100, allow_padding=allow_padding) == (2,) * 1100
+
+
 @pytest.mark.parametrize("size", [2**53 + 1, 10**60])
 def test_padded_window_is_exact(size, monkeypatch):
     seen = []

@@ -6,6 +6,7 @@ from conftest import random_plan, random_tt_from
 
 from ttembed.fileformat import load_tt, save_tt
 from ttembed import ttmatrix
+from ttembed.indexing import MixedRadix
 from ttembed.linalg import ShapeError
 from ttembed.planning import FactorizationPlan, plan_embedding
 from ttembed.trmatrix import random_tr
@@ -185,6 +186,74 @@ class TestHalfDispatch:
                     ltab, rtab = half_tables(m, s)
                     assert ltab.size + rtab.size <= b * m.plan.cols
         assert chosen  # the rule picks halves somewhere in this sweep
+
+
+RULE_PLAN = FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 2))
+
+
+def rule_case(monkeypatch, ring):
+    """A TT chain (ring 1) or a ring on the chain kernel in blocks of 4
+    rows, a tape, two index arrays of the same size and their upstream."""
+    monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+    m = random_tt(RULE_PLAN, 0.9, 40) if ring == 1 else random_tr(RULE_PLAN, ring, 0.9, 40)
+    monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", 4 * max(m._row_entries()))
+    rng = np.random.default_rng(41)
+    a = rng.integers(RULE_PLAN.padded_rows, size=10)
+    b = (a + 5) % RULE_PLAN.padded_rows
+    return m, ttmatrix.Tape(), a, b, rng.standard_normal((a.size, RULE_PLAN.cols))
+
+
+def same_bits(got, want) -> bool:
+    return [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("ring", [1, 3])
+class TestTapeRule:
+    """row_grads starts from a tape only when it holds the same indices and
+    the core arrays held now; from any other tape it recomputes, with
+    bitwise the result of a call given no tape."""
+
+    def test_a_tape_of_other_rows_is_not_used(self, ring, monkeypatch):
+        m, tape, a, b, up = rule_case(monkeypatch, ring)
+        m.rows(a, tape)
+        assert same_bits(m.row_grads(b, up, tape), m.row_grads(b, up))
+
+    def test_a_tape_filled_before_a_core_was_replaced_is_not_used(self, ring, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        m.rows(a, tape)
+        m.cores[1] = 2.0 * m.cores[1]  # a new array, not an in-place write
+        assert same_bits(m.row_grads(a, up, tape), m.row_grads(a, up))
+
+    def test_a_cleared_tape_is_not_used(self, ring, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        m.rows(a, tape)
+        tape.clear()
+        assert same_bits(m.row_grads(a, up, tape), m.row_grads(a, up))
+
+    def test_a_half_kernel_call_leaves_the_tape_empty(self, ring, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        m.rows(a, tape)
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 2)
+        m.rows(a, tape)
+        assert tape.blocks == [] and tape.indices is None
+        assert same_bits(m.row_grads(a, up, tape), m.row_grads(a, up))
+
+    def test_a_matching_tape_is_used(self, ring, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        want = m.row_grads(a, up)
+        m.rows(a, tape)
+        decodes, to_multi = [], MixedRadix.to_multi
+        monkeypatch.setattr(
+            MixedRadix, "to_multi", lambda self, i: decodes.append(i) or to_multi(self, i)
+        )
+        assert same_bits(m.row_grads(a, up, tape), want)
+        assert decodes == []  # the blocks came from the tape
+
+    def test_float_indices_raise_even_with_a_matching_tape(self, ring, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        m.rows(a, tape)
+        with pytest.raises(TypeError):
+            m.row_grads(a.astype(float), up, tape)
 
 
 class TestMaterialize:
