@@ -6,7 +6,7 @@ from .indexing import MixedRadix
 from .layers import LowRankEmbedding, TTEmbedding, random_lowrank
 from .linalg import ShapeError, SvdResult, numerical_rank, svd
 from .planning import FactorizationPlan, factorize_balanced, plan_embedding
-from .trmatrix import TRMatrix, circular_shift, random_tr
+from .trmatrix import TRMatrix, random_tr
 from .ttmatrix import (
     CompressionStats,
     TTMatrix,
@@ -26,7 +26,6 @@ __all__ = [
     "TRMatrix",
     "TTEmbedding",
     "TTMatrix",
-    "circular_shift",
     "delta_identity_tt",
     "factorize_balanced",
     "glorot_tt",

@@ -162,10 +162,8 @@ def gradient_audit(layer, idx, upstream) -> float:
     """Worst relative mismatch between the analytic gradient of
     sum(forward(idx) * upstream) and its central finite difference, over
     every entry of layer.parameters() (perturbed in place and restored).
-    The analytic gradient follows a forward at the unperturbed parameters,
-    so a TTEmbedding takes it from a tape of those, not from the tape of
-    an earlier forward at a perturbed entry."""
-    layer.forward(idx)
+    The analytic gradient is taken at the unperturbed parameters, whatever
+    forward ran before."""
     grads = layer.backward(idx, upstream)
 
     def total():

@@ -14,10 +14,9 @@ forward hands the kernel a one-batch tape: what the chain kernel built
 for the batch's distinct rows (digits, core slices, prefixes), in
 buffers reused from step to step.  backward hands the same tape to
 row_grads, which starts from it only when it holds these distinct rows
-and the core arrays held now, and otherwise recomputes, with bitwise the
-same result (TTMatrix.row_grads owns that rule).  apply_gradients
-clears the tape, as it writes the cores in place; no other in-place
-write to the cores may fall between forward and backward.
+and the cores' values now, and otherwise recomputes, with bitwise the
+same result (TTMatrix.row_grads owns that rule), whatever wrote to the
+cores in between.
 
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
 """
@@ -98,14 +97,10 @@ class TTEmbedding(_Layer):
         """Gradients of sum_b <upstream[b], forward(indices)[b]>, one per core.
 
         It starts from forward's tape when that served the same distinct
-        rows from the core arrays held now; otherwise it recomputes, with
-        the same bits."""
+        rows from cores of the values held now; otherwise it recomputes,
+        with the same bits."""
         rows, summed = self._summed_upstream(self._check_indices(indices), upstream)
         return self.weights.row_grads(rows, summed, self._tape)
-
-    def apply_gradients(self, grads, step: float) -> None:
-        self._tape.clear()  # the cores change: the tape no longer holds
-        super().apply_gradients(grads, step)
 
 
 class LowRankEmbedding(_Layer):

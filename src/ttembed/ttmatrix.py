@@ -78,19 +78,21 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
 
 class Tape:
     """What the last rows() call given this tape built on the chain kernel:
-    its blocks, and the indices and core arrays they were built for
+    its blocks, and the indices and core values they were built for
     (`indices` is None after a half-kernel call, which builds none).  The
-    blocks' slices and prefixes are carved from one float buffer that is
-    kept from call to call and grows to the largest call seen, so batches
-    of a recurring size allocate nothing new."""
+    blocks' slices and prefixes are carved from one float buffer, and the
+    cores are copied into arrays of their own; both are kept from call to
+    call, the buffer growing to the largest call seen and the copies made
+    again only when the core shapes change, so batches of a recurring size
+    allocate nothing new."""
 
     def __init__(self):
-        self.buffer = np.empty(0)
+        self.buffer, self.cores = np.empty(0), []
         self.clear()
 
     def clear(self, entries: int = 0) -> None:
         """Drop the blocks and their record; make room for `entries` floats."""
-        self.blocks, self.indices, self.cores = [], None, ()
+        self.blocks, self.indices = [], None
         self._used = 0
         if entries > self.buffer.size:
             self.buffer = None  # free the old buffer before the new one is made
@@ -102,15 +104,27 @@ class Tape:
         self._used += n
         return self.buffer[start : start + n].reshape(shape)
 
+    def record(self, indices, cores) -> None:
+        """Note the indices and the cores' values the blocks were built for."""
+        if [c.shape for c in cores] != [c.shape for c in self.cores]:
+            self.cores = [np.empty(c.shape) for c in cores]
+        for kept, c in zip(self.cores, cores):
+            np.copyto(kept, c)
+        self.indices = np.ravel(indices).copy()
+
     def holds(self, indices, cores) -> bool:
-        """Whether the blocks were built for these very core arrays (a
-        cleared tape holds none) and for these indices, of the same dtype."""
+        """Whether the blocks were built for these indices, of the same
+        dtype, and for cores of these values (a cleared tape holds none).
+        Values, not arrays, are compared, so an in-place write to a core
+        since the blocks were built makes them stale; a NaN never compares
+        equal, so a core holding one is never taken from the tape."""
         indices = np.ravel(indices)
         return (
-            len(cores) == len(self.cores)
-            and all(a is b for a, b in zip(cores, self.cores))
+            self.indices is not None
             and indices.dtype == self.indices.dtype
             and np.array_equal(indices, self.indices)
+            and len(cores) == len(self.cores)
+            and all(np.array_equal(a, b) for a, b in zip(cores, self.cores))
         )
 
 
@@ -157,7 +171,7 @@ class TTMatrix:
         one of _row_entries(), stays small enough for the allocator to
         reuse.  With a tape, the slices and prefixes are built in its
         buffer, and the blocks, once all are built, are kept in it with the
-        indices and core arrays they were built for."""
+        indices and a copy of the cores they were built from."""
         digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
         step = max(1, KERNEL_BLOCK // max(self._row_entries()))
         empty = np.empty
@@ -179,7 +193,7 @@ class TTMatrix:
                 tape.blocks.append(blk)
             yield blk
         if tape is not None:
-            tape.indices, tape.cores = np.ravel(indices).copy(), tuple(self.cores)
+            tape.record(indices, self.cores)
 
     def _row_entries(self) -> list:
         """Entries a row takes in each of its slices 1..N-1 (slice 0 when
@@ -233,7 +247,7 @@ class TTMatrix:
         the same choices, so its results stay bitwise reproducible.
 
         A tape is emptied first; a chain-kernel call then keeps its blocks
-        in it for row_grads, with the indices and core arrays they were
+        in it for row_grads, with the indices and core values they were
         built for, and a half-kernel call leaves it empty."""
         if tape is not None:
             tape.clear()
@@ -277,13 +291,16 @@ class TTMatrix:
         for cores 1..N-1, and np.add.reduceat for core 0.
 
         It starts from the tape's blocks when the tape holds these indices
-        and the core arrays held now, as after rows(indices, tape) on the
-        chain kernel; otherwise it builds the blocks again, with bitwise
-        the same result.  Kept blocks hold the slices and prefixes of the
-        cores as that call saw them, so the gradient is taken there: the
-        cores must not be written to in place in between."""
+        and the cores' values now, as after rows(indices, tape) on the
+        chain kernel with no write to the cores since; otherwise it builds
+        the blocks again, with bitwise the same result.  `upstream` must
+        be (B, cols) for B indices."""
         c, n = self.ring_rank, len(self.cores)
         upstream = np.asarray(upstream, dtype=np.float64)
+        if upstream.shape != (np.size(indices), self.plan.cols):
+            raise ShapeError(
+                f"upstream shape {upstream.shape} != ({np.size(indices)}, {self.plan.cols})"
+            )
         sums = [np.zeros((g.shape[1], g.size // g.shape[1])) for g in self.cores]
         taped = tape is not None and tape.holds(indices, self.cores)
         for span, digits, slices, prefixes in tape.blocks if taped else self._sweep(indices):

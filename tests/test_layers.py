@@ -228,6 +228,21 @@ class TestRowGrads:
         assert_grads_close(m.row_grads(np.array(idx), upstream),
                            loop_backward(m, idx, upstream))
 
+    def test_upstream_of_another_shape_is_named(self):
+        plan = GRAD_PLANS[2]
+        m = grad_model(plan, 3)
+        upstream = np.zeros((4, plan.cols))
+        with pytest.raises(ShapeError, match=rf"\(4, {plan.cols}\) != \(2, {plan.cols}\)"):
+            m.row_grads(np.array([3, 5]), upstream)
+
+    def test_extra_upstream_rows_are_not_dropped(self, monkeypatch):
+        plan = GRAD_PLANS[2]
+        m = grad_model(plan, 3)
+        monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", 2 * max(m._row_entries()))  # 2-row blocks
+        upstream = np.ones((6, plan.cols))
+        with pytest.raises(ShapeError, match=rf"\(6, {plan.cols}\) != \(4, {plan.cols}\)"):
+            m.row_grads(np.array([1, 2, 3, 4]), upstream)
+
     @pytest.mark.parametrize("plan", GRAD_PLANS)
     def test_empty_batch(self, plan):
         m = grad_model(plan, 3)
@@ -437,6 +452,34 @@ class TestTape:
         assert_bitwise(after, fresh_grads(layer, idx, upstream))
         assert not all(np.array_equal(a, b) for a, b in zip(before, after))
 
+    @pytest.mark.parametrize("ring", [1, 3])
+    @pytest.mark.parametrize("write", ["scale", "sgd", "view"])
+    def test_an_in_place_write_after_forward_is_seen(self, ring, write, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        view = layer.parameters()[1][:, 1:]  # a view taken before forward
+        layer.forward(idx)
+        if write == "scale":
+            layer.parameters()[1] *= 2.0
+        elif write == "sgd":  # an optimizer outside the layer
+            for p, g in zip(layer.parameters(), fresh_grads(layer, idx, upstream)):
+                p -= 0.1 * g
+        else:
+            view += 1.0
+        assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_a_write_of_the_same_values_keeps_the_tape(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        want = fresh_grads(layer, idx, upstream)
+        layer.forward(idx)
+        for p in layer.parameters():
+            p[...] = p.copy()
+        decodes = count_calls(monkeypatch, MixedRadix, "to_multi")
+        assert_bitwise(layer.backward(idx, upstream), want)
+        assert decodes == []  # backward ran from the tape
+
     def test_replaced_cores_drop_the_tape(self, monkeypatch):
         monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
         layer, idx, upstream = tape_case(3)
@@ -540,3 +583,18 @@ class TestTapeTraffic:
         assert step() is first
         layer.forward(idx[:5])  # a smaller batch fits in the same buffer
         assert layer._tape.buffer is first
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_repeated_step_reuses_the_core_copies(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+
+        def step():
+            layer.forward(idx)
+            layer.apply_gradients(layer.backward(idx, upstream), 1e-3)
+            return list(layer._tape.cores)
+
+        first = step()
+        assert all(a is b for a, b in zip(step(), first)) and len(first) == 3
+        layer.forward(idx[:5])  # another batch copies into the same arrays
+        assert all(a is b for a, b in zip(layer._tape.cores, first))

@@ -17,7 +17,6 @@ from ttembed.planning import (
     factorize_balanced,
     plan_embedding,
 )
-from ttembed.trmatrix import circular_shift, random_tr
 from ttembed.ttmatrix import random_tt
 
 
@@ -209,12 +208,10 @@ def test_plan_rejects_non_integral_rank(rank):
     ("n", lambda: plan_embedding(25000, 256, 3.2, 16)),
     ("vocab", lambda: TTEmbedding(
         random_tt(FactorizationPlan((3, 3), (2, 2), 9, (2,)), 1.0, 0), vocab=7.9)),
-    ("shift", lambda: circular_shift(
-        random_tr(FactorizationPlan((3, 3), (2, 2), 9, (2,)), 2, 1.0, 0), 1.5)),
 ], ids=[
     "plan-row_factors", "plan-col_factors", "plan-requested_rows", "plan-ranks",
     "factorize-size", "factorize-n", "embedding-vocab", "embedding-dim",
-    "embedding-n", "layer-vocab", "circular_shift",
+    "embedding-n", "layer-vocab",
 ])
 def test_non_integral_input_raises_naming_the_field(field, build):
     with pytest.raises(TypeError, match=f"^{field} .* is not an integer"):

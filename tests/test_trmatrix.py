@@ -6,7 +6,7 @@ from ttembed import ttmatrix
 from ttembed.indexing import MixedRadix
 from ttembed.linalg import ShapeError
 from ttembed.planning import FactorizationPlan
-from ttembed.trmatrix import TRMatrix, circular_shift, random_tr
+from ttembed.trmatrix import TRMatrix, random_tr
 from ttembed.ttmatrix import random_tt
 
 
@@ -88,53 +88,6 @@ class TestBatchedKernel:
         dense = m.materialize()
         for i in range(12):
             assert dense[i].tobytes() == m.row(i).tobytes()
-
-
-class TestCircularShift:
-    def test_identity_shift(self):
-        plan = FactorizationPlan((2, 3), (3, 2), 6, (2,))
-        m = random_tr(plan, 2, 1.0, 5)
-        z = circular_shift(m, 0)
-        assert all(np.array_equal(a, b) for a, b in zip(z.cores, m.cores))
-
-    def test_full_rotation_is_identity(self):
-        plan = FactorizationPlan((2, 3), (3, 2), 6, (2,))
-        m = random_tr(plan, 2, 1.0, 6)
-        z = circular_shift(m, 2)
-        assert all(np.array_equal(a, b) for a, b in zip(z.cores, m.cores))
-
-    def test_elements_preserved_under_index_rotation(self):
-        plan = FactorizationPlan((2, 3, 2), (3, 2, 2), 12, (2, 3))
-        m = random_tr(plan, 2, 1.0, 7)
-        rows = MixedRadix(plan.row_factors)
-        cols = MixedRadix(plan.col_factors)
-        for s in range(4):
-            z = circular_shift(m, s)
-            zrows = MixedRadix(z.plan.row_factors)
-            zcols = MixedRadix(z.plan.col_factors)
-            for i in range(12):
-                for j in range(12):
-                    ii = rows.to_multi(i)
-                    jj = cols.to_multi(j)
-                    si = zrows.from_multi(ii[s % 3:] + ii[: s % 3])
-                    sj = zcols.from_multi(jj[s % 3:] + jj[: s % 3])
-                    want = m.element(i, j)
-                    assert z.element(si, sj) == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-    def test_shift_out_of_range(self):
-        plan = FactorizationPlan((2, 3), (3, 2), 6, (2,))
-        m = random_tr(plan, 2, 1.0, 8)
-        with pytest.raises(ValueError):
-            circular_shift(m, 3)
-        with pytest.raises(ValueError):
-            circular_shift(m, -1)
-
-    def test_shift_does_not_alias(self):
-        plan = FactorizationPlan((2, 3), (3, 2), 6, (2,))
-        m = random_tr(plan, 2, 1.0, 9)
-        z = circular_shift(m, 1)
-        z.cores[0][...] = 0.0
-        assert not np.all(m.cores[1] == 0.0)
 
 
 class TestRandomAndStats:

@@ -203,6 +203,15 @@ def rule_case(monkeypatch, ring):
     return m, ttmatrix.Tape(), a, b, rng.standard_normal((a.size, RULE_PLAN.cols))
 
 
+def count_decodes(monkeypatch) -> list:
+    """Wrap MixedRadix.to_multi so that each call appends to the returned list."""
+    decodes, to_multi = [], MixedRadix.to_multi
+    monkeypatch.setattr(
+        MixedRadix, "to_multi", lambda self, i: decodes.append(i) or to_multi(self, i)
+    )
+    return decodes
+
+
 def same_bits(got, want) -> bool:
     return [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
@@ -224,6 +233,38 @@ class TestTapeRule:
         m.cores[1] = 2.0 * m.cores[1]  # a new array, not an in-place write
         assert same_bits(m.row_grads(a, up, tape), m.row_grads(a, up))
 
+    @pytest.mark.parametrize("write", ["scale", "sgd", "view"])
+    def test_an_in_place_write_is_not_taken_from_the_tape(self, ring, write, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        view = m.cores[2].reshape(-1)  # a view of the core, taken before rows()
+        m.rows(a, tape)
+        if write == "scale":
+            m.cores[1] *= 2.0
+        elif write == "sgd":
+            for p, g in zip(m.cores, m.row_grads(a, up)):
+                p -= 0.1 * g
+        else:
+            view[::2] += 1.0
+        assert same_bits(m.row_grads(a, up, tape), m.row_grads(a, up))
+
+    def test_a_nan_in_a_core_is_not_taken_from_the_tape(self, ring, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        m.cores[0][0, 0, 0, 0] = np.nan
+        m.rows(a, tape)
+        decodes = count_decodes(monkeypatch)
+        m.row_grads(a, up, tape)
+        assert len(decodes) == 1  # NaN != NaN: the blocks were built again
+
+    def test_a_write_of_the_same_values_keeps_the_tape(self, ring, monkeypatch):
+        m, tape, a, _, up = rule_case(monkeypatch, ring)
+        want = m.row_grads(a, up)
+        m.rows(a, tape)
+        for g in m.cores:
+            g[...] = g.copy()
+        decodes = count_decodes(monkeypatch)
+        assert same_bits(m.row_grads(a, up, tape), want)
+        assert decodes == []  # the blocks came from the tape
+
     def test_a_cleared_tape_is_not_used(self, ring, monkeypatch):
         m, tape, a, _, up = rule_case(monkeypatch, ring)
         m.rows(a, tape)
@@ -242,10 +283,7 @@ class TestTapeRule:
         m, tape, a, _, up = rule_case(monkeypatch, ring)
         want = m.row_grads(a, up)
         m.rows(a, tape)
-        decodes, to_multi = [], MixedRadix.to_multi
-        monkeypatch.setattr(
-            MixedRadix, "to_multi", lambda self, i: decodes.append(i) or to_multi(self, i)
-        )
+        decodes = count_decodes(monkeypatch)
         assert same_bits(m.row_grads(a, up, tape), want)
         assert decodes == []  # the blocks came from the tape
 
