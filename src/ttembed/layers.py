@@ -11,12 +11,14 @@ reverse for all distinct rows at once, from the last core to the
 first, and sums each core's gradient by the rows' digits.
 
 forward hands the kernel a one-batch tape: what the chain kernel built
-for the batch's distinct rows (digits, core slices, prefixes), in
-buffers reused from step to step.  backward hands the same tape to
-row_grads, which starts from it only when it holds these distinct rows
-and the cores' values now, and otherwise recomputes, with bitwise the
-same result (TTMatrix.row_grads owns that rule), whatever wrote to the
-cores in between.
+for the batch's distinct rows as one block (digits and prefixes), and a
+workspace for both passes' temporaries, in buffers reused from step to
+step, so in a steady step the kernel allocates no batch-sized
+temporary.  backward hands the same tape to row_grads, which starts
+from it only when it holds these distinct rows and the cores' values
+now, and otherwise recomputes, with bitwise the same result
+(TTMatrix.row_grads owns that rule), whatever wrote to the cores in
+between.
 
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
 """

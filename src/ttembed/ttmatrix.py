@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import prod
 
 import numpy as np
@@ -22,7 +23,9 @@ from .planning import FactorizationPlan
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "TTEMBED_MATERIALIZE_CAP"
 TT_SVD_TRUNCATION_TOL = 1e-12
-KERNEL_BLOCK = 1 << 17  # entries of a row block's largest intermediates
+# entries of the largest array of a block without a tape, or of a chunk
+# of the slices and products a taped forward builds in its workspace
+KERNEL_BLOCK = 1 << 17
 
 
 def materialize_cap() -> int:
@@ -77,22 +80,27 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
 
 
 class Tape:
-    """What the last rows() call given this tape built on the chain kernel:
-    its blocks, and the indices and core values they were built for
-    (`indices` is None after a half-kernel call, which builds none).  The
-    blocks' slices and prefixes are carved from one float buffer, and the
-    cores are copied into arrays of their own; both are kept from call to
-    call, the buffer growing to the largest call seen and the copies made
-    again only when the core shapes change, so batches of a recurring size
-    allocate nothing new."""
+    """What the last rows() call given this tape built on the chain kernel,
+    and the workspace its temporaries come from.
+
+    A chain-kernel call builds its whole batch as one block: `block` holds
+    the rows' digits and prefixes, the prefixes carved from `buffer`, and
+    `indices` and `cores` hold copies of the indices and core values it
+    was built for (`block` and `indices` are None after a half-kernel
+    call, which builds none).  The slices forward gathers and every
+    temporary of row_grads come from `work`, in regions whose lifetimes
+    overlap, so backward only reads the buffer.  The buffers grow to the
+    largest call seen and the core copies are made again only when the
+    core shapes change, so batches of a recurring size allocate nothing
+    new."""
 
     def __init__(self):
-        self.buffer, self.cores = np.empty(0), []
+        self.buffer, self.work, self.cores = np.empty(0), np.empty(0), []
         self.clear()
 
     def clear(self, entries: int = 0) -> None:
-        """Drop the blocks and their record; make room for `entries` floats."""
-        self.blocks, self.indices = [], None
+        """Drop the block and its record; make room for `entries` floats."""
+        self.block, self.indices = None, None
         self._used = 0
         if entries > self.buffer.size:
             self.buffer = None  # free the old buffer before the new one is made
@@ -104,8 +112,18 @@ class Tape:
         self._used += n
         return self.buffer[start : start + n].reshape(shape)
 
+    def scratch(self, *entries) -> list:
+        """Flat arrays of these sizes, carved one after another from the
+        start of the workspace, which grows to fit them.  Each call hands
+        out the same memory again, ending the arrays of the last call."""
+        if sum(entries) > self.work.size:
+            self.work = None  # free the old workspace before the new one is made
+            self.work = np.empty(sum(entries))
+        bounds = [0, *accumulate(entries)]
+        return [self.work[s:e] for s, e in zip(bounds, bounds[1:])]
+
     def record(self, indices, cores) -> None:
-        """Note the indices and the cores' values the blocks were built for."""
+        """Note the indices and the cores' values the block was built for."""
         if [c.shape for c in cores] != [c.shape for c in self.cores]:
             self.cores = [np.empty(c.shape) for c in cores]
         for kept, c in zip(self.cores, cores):
@@ -113,10 +131,10 @@ class Tape:
         self.indices = np.ravel(indices).copy()
 
     def holds(self, indices, cores) -> bool:
-        """Whether the blocks were built for these indices, of the same
+        """Whether the block was built for these indices, of the same
         dtype, and for cores of these values (a cleared tape holds none).
         Values, not arrays, are compared, so an in-place write to a core
-        since the blocks were built makes them stale; a NaN never compares
+        since the block was built makes it stale; a NaN never compares
         equal, so a core holding one is never taken from the tape."""
         indices = np.ravel(indices)
         return (
@@ -126,6 +144,11 @@ class Tape:
             and len(cores) == len(self.cores)
             and all(np.array_equal(a, b) for a, b in zip(cores, self.cores))
         )
+
+
+def _fresh(*entries) -> list:
+    """New flat arrays of these sizes: the scratch of a call without a tape."""
+    return [np.empty(n) for n in entries]
 
 
 class TTMatrix:
@@ -161,72 +184,80 @@ class TTMatrix:
             acc = acc @ self.cores[k][:, ii[k], jj[k], :]
         return float(np.trace(acc))
 
-    def _sweep(self, indices, tape: "Tape | None" = None):
-        """Yield, per block of the rows at `indices`, what the chain kernel
-        builds for it: (the block's positions in the batch, the rows'
-        digits, core k's slices at them as (B, R_{k-1}, J_k, R_k), the
-        rows' prefixes).  Slice 0 is gathered in prefix 1's layout, as
-        prefix 1 is slice 0; the others are gathered core by core.  Blocks
-        are sized so that the largest per-row array of forward or backward,
-        one of _row_entries(), stays small enough for the allocator to
-        reuse.  With a tape, the slices and prefixes are built in its
-        buffer, and the blocks, once all are built, are kept in it with the
-        indices and a copy of the cores they were built from."""
+    def _sweep(self, indices):
+        """Yield, per block of _block_rows() rows at `indices`, (the block's
+        positions in the batch, its rows' digits, their prefixes), built in
+        new arrays: the blocks of a call without a tape."""
         digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
-        step = max(1, KERNEL_BLOCK // max(self._row_entries()))
-        empty = np.empty
-        if tape is not None:
-            tape.clear(digits[0].size * sum(self._row_entries()))
-            empty = tape.empty
-        first = np.ascontiguousarray(self.cores[0].transpose(1, 2, 0, 3))  # (I_1, J_1, c, R_1)
+        step = self._block_rows()
         for s in range(0, digits[0].size, step):
             d = [x[s : s + step] for x in digits]
-            # the digits are checked: clip is a no-op
-            out = empty((d[0].size,) + first.shape[1:])
-            slices = [np.take(first, d[0], axis=0, out=out, mode="clip").transpose(0, 2, 1, 3)]
-            for g, x in zip(self.cores[1:], d[1:]):
-                r, _, j, rn = g.shape
-                out = np.take(g, x, axis=1, out=empty((r, x.size, j, rn)), mode="clip")
-                slices.append(out.transpose(1, 0, 2, 3))
-            blk = (slice(s, s + step), d, slices, self._prefixes(slices, empty))
-            if tape is not None:
-                tape.blocks.append(blk)
-            yield blk
-        if tape is not None:
-            tape.record(indices, self.cores)
+            yield slice(s, s + step), d, self._prefixes(d, np.empty, _fresh)
 
-    def _row_entries(self) -> list:
-        """Entries a row takes in each of its slices 1..N-1 (slice 0 when
-        N = 1) and prefixes 1..N-1: all the tape keeps, since prefix 1 is
-        slice 0.  Except for the upstream, row_grads' per-row arrays are
-        no larger: the gradient of a prefix, dnext (the size of the next
-        prefix) and copies of slices and prefixes."""
-        sizes = [g.size // g.shape[1] for g in self.cores[1:] or self.cores]
-        p = self.ring_rank
+    def _fill(self, indices, tape: Tape) -> tuple:
+        """Build the rows at `indices` as one block in the tape's buffer and
+        workspace, keep it on the tape with the indices and a copy of the
+        cores, and return it: (the rows' digits, their prefixes)."""
+        digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
+        tape.clear(digits[0].size * sum(self._prefix_entries()))
+        tape.block = digits, self._prefixes(digits, tape.empty, tape.scratch)
+        tape.record(indices, self.cores)
+        return tape.block
+
+    def _prefix_entries(self) -> list:
+        """Entries a row takes in each of its prefixes 1..N-1: what the tape
+        keeps per row."""
+        sizes, p = [], self.ring_rank
         for g in self.cores[:-1]:
             p *= g.shape[2]
             sizes.append(p * g.shape[3])
         return sizes
 
-    def _prefixes(self, slices, empty) -> list:
+    def _row_entries(self) -> list:
+        """Entries a row takes in each of its slices 1..N-1 (slice 0 when
+        N = 1) and prefixes 1..N-1 (prefix 1 is slice 0): the per-row
+        arrays forward builds."""
+        slices = [g.size // g.shape[1] for g in self.cores[1:] or self.cores]
+        return slices + self._prefix_entries()
+
+    def _block_rows(self) -> int:
+        """Rows whose largest per-row array, one of _row_entries(), fits in
+        KERNEL_BLOCK entries: a block of a call without a tape, and a chunk
+        of the slices and products a taped block builds in the workspace."""
+        return max(1, KERNEL_BLOCK // max(self._row_entries()))
+
+    def _prefixes(self, digits, keep, scratch) -> list:
         """The products of each row's first k = 0..N-1 slices,
         (B, J_k..J_1 * c, R_k) with J_1 fastest of the J and the closure c
-        next to R_k, built in arrays from empty(shape).  Prefix 0 is the
-        identity and prefix 1 is slice 0 itself, which _sweep gathers in
-        this order.  A row's result does not depend on the other rows of
-        its block."""
-        b, c = slices[0].shape[0], self.ring_rank
+        next to R_k, built in arrays from keep(shape).  Prefix 0 is the
+        identity and prefix 1 is slice 0 itself, gathered in this order.
+        Slices 1..N-2 and their products are built _block_rows() rows at a
+        time in flat arrays from scratch(entries, ...).  A row's result
+        does not depend on the other rows of its block."""
+        b, c = digits[0].size, self.ring_rank
         out = [np.broadcast_to(np.eye(c), (b, c, c))]
-        if len(slices) > 1:
-            out.append(slices[0].transpose(0, 2, 1, 3).reshape(b, -1, slices[0].shape[3]))
-        for g in slices[1:-1]:
+        if len(self.cores) > 1:
+            first = np.ascontiguousarray(self.cores[0].transpose(1, 2, 0, 3))  # (I_1, J_1, c, R_1)
+            _, j, _, r = first.shape
+            # the digits are checked: clip is a no-op
+            acc = np.take(first, digits[0], axis=0, out=keep((b, j, c, r)), mode="clip")
+            out.append(acc.reshape(b, j * c, r))
+        step = self._block_rows()
+        for g, x in zip(self.cores[1:-1], digits[1:-1]):
             acc = out[-1]
-            r, jk, rk = g.shape[1:]
+            r, _, jk, rk = g.shape
             p = acc.shape[1] // c
-            nxt = (acc @ g.reshape(b, r, jk * rk)).reshape(b, p, c, jk, rk)
-            acc = empty((b, jk * p * c, rk))
-            acc.reshape(b, jk, p, c, rk)[...] = nxt.transpose(0, 3, 1, 2, 4)
-            out.append(acc)
+            nxt = keep((b, jk * p * c, rk))
+            for s in range(0, b, step):
+                xs = x[s : s + step]
+                n = xs.size
+                sl, mul = scratch(n * r * jk * rk, n * p * c * jk * rk)
+                sl = np.take(g, xs, axis=1, out=sl.reshape(r, n, jk, rk), mode="clip")
+                sl = sl.transpose(1, 0, 2, 3).reshape(n, r, jk * rk)
+                mul = np.matmul(acc[s : s + step], sl, out=mul.reshape(n, p * c, jk * rk))
+                nxt[s : s + step].reshape(n, jk, p, c, rk)[...] = (
+                    mul.reshape(n, p, c, jk, rk).transpose(0, 3, 1, 2, 4))
+            out.append(nxt)
         return out
 
     def rows(self, indices, tape: "Tape | None" = None) -> np.ndarray:
@@ -246,22 +277,32 @@ class TTMatrix:
         batches that take different kernels; a given config always makes
         the same choices, so its results stay bitwise reproducible.
 
-        A tape is emptied first; a chain-kernel call then keeps its blocks
-        in it for row_grads, with the indices and core values they were
-        built for, and a half-kernel call leaves it empty."""
+        A tape is emptied first; a chain-kernel call then builds the batch
+        as one block in it, for row_grads, and takes its temporaries from
+        the tape's workspace, while a half-kernel call leaves it empty.  A
+        row does not depend on the blocking, so a tape changes no bit."""
         if tape is not None:
             tape.clear()
         s = half_split(self, np.size(indices))
         if s:
             return half_rows(self, indices, s)
         c = self.ring_rank
+        scratch = _fresh if tape is None else tape.scratch
+        last = np.ascontiguousarray(self.cores[-1].transpose(1, 3, 0, 2))  # (I_N, c, R_{N-1}, J_N)
+        r, jn = last.shape[2:]
         out = np.empty((np.size(indices), self.plan.cols))
-        for span, _, slices, prefixes in self._sweep(indices, tape):
-            acc, g = prefixes[-1], slices[-1]  # g: (B, R_{N-1}, J_N, c)
-            b, r, jn = g.shape[:3]
-            p = acc.shape[1] // c
-            acc = acc.reshape(b, p, c * r) @ g.transpose(0, 3, 1, 2).reshape(b, c * r, jn)
-            out[span] = acc.transpose(0, 2, 1).reshape(b, jn * p)
+        step = self._block_rows()
+        blocks = [(slice(None), *self._fill(indices, tape))] if tape else self._sweep(indices)
+        for span, digits, prefixes in blocks:
+            b, p = digits[0].size, prefixes[-1].shape[1] // c
+            left, res = prefixes[-1].reshape(b, p, c * r), out[span].reshape(b, jn, p)
+            for s in range(0, b, step):
+                x = digits[-1][s : s + step]
+                g, acc = scratch(x.size * c * r * jn, x.size * p * jn)
+                np.take(last, x, axis=0, out=g.reshape((x.size,) + last.shape[1:]), mode="clip")
+                acc = np.matmul(left[s : s + step], g.reshape(x.size, c * r, jn),
+                                out=acc.reshape(x.size, p, jn))
+                res[s : s + step] = acc.transpose(0, 2, 1)
         return out
 
     def row(self, i: int) -> np.ndarray:
@@ -270,58 +311,99 @@ class TTMatrix:
 
     def row_grads(self, indices, upstream, tape: "Tape | None" = None) -> list:
         """Gradient of sum_b <upstream[b], rows(indices)[b]> w.r.t. each core,
-        by reverse mode through the products rows() formed, per block.
+        by reverse mode through the products rows() formed, for the whole
+        batch at once.
 
-        Cores, slices and prefixes count from 0 here, prefix k being the
-        product of slices 0..k-1; core k has column factor J and ranks
-        (R', R), and P is the product of the column factors before it.
-        The last core: rows() multiplied each row's last prefix, viewed as
-        left (P, c R'), by g, its last slice as (c R', J).  With u the
-        row's upstream as (P, J), the last core's gradient takes left^T u,
-        and d left = u g^T is the gradient of that prefix.  Cores
-        k = N-2..1: undoing forward's (J, P) transpose of d prefix_{k+1}
-        gives dnext (P c, J R), the gradient of prefix_k times slice k;
-        core k's gradient takes prefix_k^T dnext, and
-        d prefix_k = dnext slice_k^T carries on.  Core 0: prefix 1 is
-        slice 0, so its gradient is d prefix_1 itself.
-        No suffix products and no per-row gradients are formed.  Each core
-        sums its rows by digit i_k, over rows grouped by a stable sort of
-        the digits (skipped when they are sorted, as the last core's are
-        for np.unique's rows): one GEMM over each distinct digit's rows
-        for cores 1..N-1, and np.add.reduceat for core 0.
+        Cores and prefixes count from 0 here, prefix k being the product of
+        slices 0..k-1; core k has column factor J and ranks (R', R), and P
+        is the product of the column factors before it.  The last core:
+        rows() multiplied each row's last prefix, viewed as left (P, c R'),
+        by its last slice g as (c R', J).  With u the row's upstream as
+        (P, J), the last core's gradient takes left^T u, and d left = u g^T
+        is the gradient of that prefix.  Cores k = N-2..1: undoing
+        forward's (J, P) transpose of d prefix_{k+1} gives dnext (P c, J R),
+        the gradient of prefix_k times slice k; core k's gradient takes
+        prefix_k^T dnext, and d prefix_k = dnext slice_k^T carries on.
+        Core 0: prefix 1 is slice 0, so its gradient is d prefix_1 itself.
+        No suffix products and no per-row gradients are formed.
 
-        It starts from the tape's blocks when the tape holds these indices
+        Each core takes its rows in the order of a stable sort of their
+        digits i_k (kept when sorted already, as the last core's are for
+        np.unique's rows).  Cores 1..N-1 then run two GEMMs per distinct
+        digit, over that digit's rows: one adds to the core's gradient,
+        the other, by the core's own slice at the digit, gives those rows'
+        d prefix_k; core 0 sums by np.add.reduceat.  Each d thus comes out
+        in its core's order, and the next core gathers each of its runs
+        from it in one copy that also undoes forward's transpose, so dnext
+        is held one run at a time.  Every temporary comes from the tape's
+        workspace, and the tape's buffer is only read.
+
+        It starts from the tape's block when the tape holds these indices
         and the cores' values now, as after rows(indices, tape) on the
         chain kernel with no write to the cores since; otherwise it builds
-        the blocks again, with bitwise the same result.  `upstream` must
-        be (B, cols) for B indices."""
+        the block again, into the tape, or into a tape of its own when
+        given none.  The block is the same either way and whatever
+        KERNEL_BLOCK is, and so are the result's bits.  `upstream` must be
+        (B, cols) for B indices."""
         c, n = self.ring_rank, len(self.cores)
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != (np.size(indices), self.plan.cols):
             raise ShapeError(
                 f"upstream shape {upstream.shape} != ({np.size(indices)}, {self.plan.cols})"
             )
+        if tape is None or not tape.holds(indices, self.cores):
+            tape = Tape() if tape is None else tape
+            self._fill(indices, tape)
+        digits, prefixes = tape.block
+        b, sizes, cols = digits[0].size, self._prefix_entries(), self.plan.cols
+        runs = [_digit_runs(x) for x in digits]
+        # rows[k]: where core k's rows, in its order, sit in d, which is in core k+1's
+        rows = [_after(runs[k + 1][0], runs[k][0]) for k in range(n - 1)]
+        mids = range(n - 2, 0, -1)
+        longest = max((np.diff(runs[k][2]).max(initial=0) for k in mids), default=0)
+        # w[0] and w[1] take turns holding d and the sorted lhs it overwrites
+        # (w[0] first a sorted upstream, the last one core 0's rows); wr
+        # holds u, then one run of dnext at a time; wi the gather index
+        w0, w1, wr, wi = tape.scratch(
+            b * max([c * c, cols] + sizes), b * max(sizes[:-1] + sizes[:1], default=0),
+            max([b * cols] + [longest * sizes[k] for k in mids]),
+            b * max((prefixes[k].shape[1] * self.cores[k].shape[2] for k in mids), default=0))
+        w, wi = (w0, w1), wi.view(np.int64)
         sums = [np.zeros((g.shape[1], g.size // g.shape[1])) for g in self.cores]
-        taped = tape is not None and tape.holds(indices, self.cores)
-        for span, digits, slices, prefixes in tape.blocks if taped else self._sweep(indices):
-            g = slices[-1]  # (B, R_{N-1}, J_N, c)
-            b, r, jn = g.shape[:3]
-            p = prefixes[-1].shape[1] // c
-            left = prefixes[-1].reshape(b, p, c * r)
-            u = np.ascontiguousarray(upstream[span].reshape(b, jn, p).transpose(0, 2, 1))
-            _digit_gemms(sums[-1], digits[-1], left, u)
-            if n == 1:
-                continue
-            d = u @ g.transpose(0, 2, 3, 1).reshape(b, jn, c * r)  # d prefix_{N-1}
-            for k in range(n - 2, 0, -1):
-                a, _, jk, rk = self.cores[k].shape
-                p = prefixes[k].shape[1] // c
-                dnext = d.reshape(b, jk, p, c, rk).transpose(0, 2, 3, 1, 4)
-                dnext = dnext.reshape(b, p * c, jk * rk)
-                _digit_gemms(sums[k], digits[k], prefixes[k], dnext)
-                d = dnext @ slices[k].reshape(b, a, jk * rk).transpose(0, 2, 1)  # d prefix_k
-            vals, starts, (d,) = _digit_runs(digits[0], [d.reshape(b, -1)])
-            sums[0][vals] += np.add.reduceat(d, starts)
+
+        r, _, jn, _ = self.cores[-1].shape
+        p = prefixes[-1].shape[1] // c
+        order, vals, bounds = runs[-1]
+        u = wr[: b * cols].reshape(b, p, jn)
+        np.copyto(u, _take_rows(upstream, order, w0).reshape(b, jn, p).transpose(0, 2, 1))
+        lhs = _take_rows(prefixes[-1].reshape(b, p, c * r), order, w0).reshape(-1, c * r)
+        d = w0[: b * p * c * r].reshape(b, p, c * r)  # d prefix_{N-1}, overwrites lhs run by run
+        rt = self.cores[-1].transpose(1, 2, 3, 0).reshape(-1, jn, c * r)  # (I_N, J_N, c R)
+        for i, s, e in zip(vals, bounds, bounds[1:]):
+            sums[-1][i] += (lhs[s * p : e * p].T @ u[s:e].reshape(-1, jn)).ravel()
+            if n > 1:
+                np.matmul(u[s:e].reshape(-1, jn), rt[i], out=d[s:e].reshape(-1, c * r))
+        for k in mids:
+            g = self.cores[k]
+            a, _, jk, rk = g.shape
+            pc = prefixes[k].shape[1]
+            order, vals, bounds = runs[k]
+            src, at = d.reshape(-1, rk), _swap_index(rows[k], b, jk, pc, wi)
+            nxt = w[(n - 1 - k) % 2]
+            lhs = _take_rows(prefixes[k], order, nxt).reshape(-1, a)
+            d = nxt[: b * pc * a].reshape(b, pc, a)  # d prefix_k, overwrites lhs run by run
+            rt = g.transpose(1, 2, 3, 0).reshape(-1, jk * rk, a)
+            for i, s, e in zip(vals, bounds, bounds[1:]):
+                # this run's dnext; the index holds a permutation: clip is a no-op
+                dnext = np.take(src, at[s:e].ravel(), axis=0, mode="clip",
+                                out=wr[: (e - s) * pc * jk * rk].reshape(-1, rk))
+                dnext = dnext.reshape(-1, jk * rk)
+                sums[k][i] += (lhs[s * pc : e * pc].T @ dnext).ravel()
+                np.matmul(dnext, rt[i], out=d[s:e].reshape(-1, a))
+        if n > 1:
+            _, vals, bounds = runs[0]
+            d = _take_rows(d.reshape(b, sizes[0]), rows[0], w[(n - 1) % 2])
+            sums[0][vals] += np.add.reduceat(d, bounds[:-1])
         # row i_k of each sum holds its columns in the order the products made them
         grads = []
         for k, (x, (a, ik, jk, rk)) in enumerate(zip(sums, (g.shape for g in self.cores))):
@@ -352,27 +434,43 @@ class TTMatrix:
         )
 
 
-def _digit_runs(digits, arrays) -> tuple:
-    """(the distinct digits, where each one's run of rows starts, the
-    arrays with their rows in run order), the rows grouped by a stable
-    sort of the digits, which is skipped when they are sorted already."""
-    if np.any(digits[1:] < digits[:-1]):
-        order = np.argsort(digits, kind="stable")
-        digits = digits[order]
-        arrays = [np.take(x, order, axis=0) for x in arrays]
-    starts = np.flatnonzero(np.diff(digits, prepend=-1))
-    return digits[starts], starts, arrays
+def _digit_runs(digits) -> tuple:
+    """(the order of a stable sort of the digits, or None when they are
+    sorted already; the distinct digits; where each one's run of rows
+    starts in that order, then the row count)."""
+    order = np.argsort(digits, kind="stable") if np.any(digits[1:] < digits[:-1]) else None
+    counts = np.bincount(digits)
+    vals = np.flatnonzero(counts)
+    return order, vals.tolist(), [0] + np.cumsum(counts[vals]).tolist()
 
 
-def _digit_gemms(sums, digits, lhs, rhs) -> None:
-    """Add to row i of `sums` the sum of lhs[b]^T rhs[b] over the rows b
-    with digit i, raveled, for each distinct digit i, by one GEMM over
-    that digit's rows."""
-    vals, starts, (lhs, rhs) = _digit_runs(digits, [lhs, rhs])
-    bounds = (np.append(starts, digits.size) * lhs.shape[1]).tolist()
-    lhs, rhs = lhs.reshape(-1, lhs.shape[2]), rhs.reshape(-1, rhs.shape[2])
-    for i, s, e in zip(vals.tolist(), bounds, bounds[1:]):
-        sums[i] += (lhs[s:e].T @ rhs[s:e]).ravel()
+def _after(first, then):
+    """Where the rows in order `then` sit among the rows in order `first`
+    (either None for the batch's own order), or None when they sit in
+    place."""
+    if first is None:
+        return then
+    at = np.empty_like(first)
+    at[first] = np.arange(first.size)
+    return at if then is None else at[then]
+
+
+def _take_rows(x, rows, out) -> np.ndarray:
+    """x with its rows in order `rows`, copied into the front of the flat
+    `out`; x itself when rows is None."""
+    if rows is None:
+        return x
+    return np.take(x, rows, axis=0, out=out[: x.size].reshape(x.shape), mode="clip")
+
+
+def _swap_index(rows, b, j, p, out) -> np.ndarray:
+    """For b rows of x viewed as (B, J, P, R): which R-entry rows of x, in
+    this order, give x with its rows in order `rows` (None keeps them) and
+    J and P swapped, as (B, P, J) in the front of the flat `out`."""
+    at = out[: b * p * j].reshape(b, p, j)
+    rows = np.arange(b) if rows is None else rows
+    np.add((rows * (j * p))[:, None, None], np.arange(j * p).reshape(j, p).T, out=at)
+    return at
 
 
 def _chain_row_flops(m: TTMatrix) -> int:

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,8 +413,8 @@ class TestTape:
         if block_rows:
             several_blocks(monkeypatch, layer.weights, block_rows)
         layer.forward(idx)
-        blocks = len(layer._tape.blocks)
-        assert blocks == (1 if block_rows is None else -(-np.unique(idx).size // block_rows))
+        digits, _ = layer._tape.block
+        assert digits[0].size == np.unique(idx).size  # one block, whatever KERNEL_BLOCK is
         assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
 
     def test_half_kernel_batch_keeps_no_blocks(self):
@@ -421,7 +422,7 @@ class TestTape:
         assert ttmatrix.half_split(layer.weights, np.unique(idx).size) == 2
         upstream = np.random.default_rng(31).standard_normal((idx.size, layer.dim))
         layer.forward(idx)
-        assert layer._tape.blocks == []
+        assert layer._tape.block is None
         assert_bitwise(layer.backward(idx, upstream), fresh_grads(layer, idx, upstream))
 
     @pytest.mark.parametrize("ring", [1, 3])
@@ -566,7 +567,7 @@ class TestTapeTraffic:
         layer.forward(idx)
         layer.backward(idx, upstream)
         assert len(decodes) == 1
-        assert len(sweeps) == -(-np.unique(idx).size // 4)  # once per block
+        assert len(sweeps) == 1  # the taped batch is one block
 
     @pytest.mark.parametrize("ring", [1, 3])
     def test_repeated_step_reuses_the_buffer(self, ring, monkeypatch):
@@ -583,6 +584,53 @@ class TestTapeTraffic:
         assert step() is first
         layer.forward(idx[:5])  # a smaller batch fits in the same buffer
         assert layer._tape.buffer is first
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_repeated_step_reuses_the_workspace(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+
+        def step(n):
+            layer.forward(idx[:n])
+            layer.apply_gradients(layer.backward(idx[:n], upstream[:n]), 1e-3)
+            return layer._tape.work
+
+        first = step(idx.size)  # warm-up
+        assert step(idx.size) is first
+        assert step(5) is first  # a smaller batch fits in the same workspace
+
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_a_steady_step_allocates_no_batch_sized_array(self, ring, monkeypatch):
+        # each row: 512 columns and a last prefix of 512 * ring entries, so
+        # an array of either for 32 rows takes 128 KiB; the cores 3 KiB
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        plan = FactorizationPlan((4, 4, 4), (16, 16, 2), 64, (2, 2))
+        m = random_tt(plan, 0.9, 50) if ring == 1 else random_tr(plan, ring, 0.9, 50)
+        upstream = np.random.default_rng(51).standard_normal((64, plan.cols))
+        tape = ttmatrix.Tape()
+
+        def peaks(b):
+            """Traced peaks of a steady rows() and row_grads() on b rows,
+            beyond the rows returned."""
+            idx = np.arange(b) * 64 // b
+            for _ in range(2):  # warm-up
+                m.rows(idx, tape)
+                m.row_grads(idx, upstream[:b], tape)
+            tracemalloc.start()
+            try:
+                out = m.rows(idx, tape)
+                forward = tracemalloc.get_traced_memory()[1] - out.nbytes
+                tracemalloc.reset_peak()
+                m.row_grads(idx, upstream[:b], tape)
+                return forward, tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        big = peaks(64)
+        small = peaks(32)
+        # twice the rows, the same allocations: only numpy's fixed-size
+        # ufunc buffers, no array that grows with the batch
+        assert big[0] - small[0] < 16_000 and big[1] - small[1] < 16_000
 
     @pytest.mark.parametrize("ring", [1, 3])
     def test_repeated_step_reuses_the_core_copies(self, ring, monkeypatch):

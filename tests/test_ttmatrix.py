@@ -276,7 +276,7 @@ class TestTapeRule:
         m.rows(a, tape)
         monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 2)
         m.rows(a, tape)
-        assert tape.blocks == [] and tape.indices is None
+        assert tape.block is None and tape.indices is None
         assert same_bits(m.row_grads(a, up, tape), m.row_grads(a, up))
 
     def test_a_matching_tape_is_used(self, ring, monkeypatch):
@@ -292,6 +292,34 @@ class TestTapeRule:
         m.rows(a, tape)
         with pytest.raises(TypeError):
             m.row_grads(a.astype(float), up, tape)
+
+
+@pytest.mark.parametrize("ring", [1, 3])
+@pytest.mark.parametrize("plan", [RULE_PLAN, FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2))])
+def test_gradient_does_not_depend_on_the_blocking(plan, ring, monkeypatch):
+    """row_grads from a tape, after a tape miss and without a tape gives the
+    same bits whatever KERNEL_BLOCK is: a taped batch is one block."""
+    monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+    m = random_tt(plan, 0.9, 40) if ring == 1 else random_tr(plan, ring, 0.9, 40)
+    rng = np.random.default_rng(43)
+    idx = rng.integers(plan.padded_rows, size=14)
+    idx[-4:] = idx[:4]  # repeats
+    assert all(np.any(x[1:] < x[:-1]) for x in MixedRadix(plan.row_factors).to_multi(idx))
+    up = rng.standard_normal((idx.size, plan.cols))
+    want = m.row_grads(idx, up)
+    per_row = max(m._row_entries())
+    decodes = count_decodes(monkeypatch)
+    for block in (1, 2 * per_row, 5 * per_row, 1 << 20):
+        monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", block)
+        tape = ttmatrix.Tape()
+        assert same_bits(m.row_grads(idx, up), want)
+        m.rows(idx, tape)
+        seen = len(decodes)
+        assert same_bits(m.row_grads(idx, up, tape), want)
+        assert len(decodes) == seen  # a tape hit
+        m.rows((idx + 1) % plan.padded_rows, tape)
+        assert same_bits(m.row_grads(idx, up, tape), want)
+        assert len(decodes) == seen + 2  # a miss: the batch was built again
 
 
 class TestMaterialize:
