@@ -212,6 +212,8 @@ def _cmd_stats(args, out: Printer) -> int:
 
 
 def _cmd_gradcheck(args, out: Printer) -> int:
+    if args.batch < 1:
+        raise ValueError(f"--batch must be >= 1, got {args.batch}")
     m = load_tt(args.infile)
     layer = TTEmbedding(m)
     rng = np.random.default_rng(args.seed)
@@ -293,10 +295,19 @@ def _cmd_train_demo(args, out: Printer) -> int:
     missing = [k for k in ("vocab", "dim") if k not in raw]
     if missing:
         raise ValueError(f"{args.config}: missing config keys: {', '.join(missing)}")
-    ranks = _parse_ranks(raw.get("ranks", "8"))
-    plan = plan_embedding(int(raw["vocab"]), int(raw["dim"]), int(raw.get("n", 3)), ranks)
+    raw = {"n": "3", "ranks": "8", **raw}
+
+    def value(key, conv):
+        try:
+            return conv(raw[key])
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {key}: {exc}") from None
+
+    plan = plan_embedding(
+        value("vocab", int), value("dim", int), value("n", int), value("ranks", _parse_ranks)
+    )
     cfg = training.TrainConfig(
-        plan=plan, **{k: conv(raw[k]) for k, conv in _TRAIN_KEYS.items() if k in raw}
+        plan=plan, **{k: value(k, conv) for k, conv in _TRAIN_KEYS.items() if k in raw}
     )
     trace = training.run(cfg)
     out.kv("steps", len(trace.losses))

@@ -90,6 +90,9 @@ class TTEmbedding(_Layer):
     def parameters(self) -> list:
         return self.weights.cores
 
+    def materialize(self) -> np.ndarray:
+        return self.weights.materialize()[: self.vocab]
+
     def forward(self, indices) -> np.ndarray:
         idx = self._check_indices(indices)
         rows, inverse = np.unique(idx, return_inverse=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import LowRankEmbedding, TTEmbedding, random_lowrank
-from .planning import FactorizationPlan
+from .layers import TTEmbedding, random_lowrank
+from .planning import FactorizationPlan, _as_int
 from .trmatrix import random_tr
 from .ttmatrix import glorot_tt
 
@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        for name in ("steps", "batch", "seed", "ring_rank", "lowrank_dim"):
+            setattr(self, name, _as_int(getattr(self, name), name))
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be >= 1")
         for name in ("ring_rank", "lowrank_dim"):
@@ -110,12 +112,10 @@ def run_matrix_fit(cfg: TrainConfig) -> TrainTrace:
     target = rng.standard_normal((rows, cols))
     layer = _make_layer(cfg, vocab=rows)
 
-    def full_mse(lyr):
-        return float(np.mean(np.sum((lyr.materialize() - target) ** 2, axis=1)))
+    def full_mse():
+        return float(np.mean(np.sum((layer.materialize() - target) ** 2, axis=1)))
 
-    initial_mse = full_mse(
-        layer if isinstance(layer, LowRankEmbedding) else layer.weights
-    )
+    initial_mse = full_mse()
     losses = []
     for step in range(cfg.steps):
         idx = rng.integers(0, rows, size=cfg.batch)
@@ -128,9 +128,7 @@ def run_matrix_fit(cfg: TrainConfig) -> TrainTrace:
         losses.append(loss)
         upstream = (2.0 / cfg.batch) * diff
         layer.apply_gradients(layer.backward(idx, upstream), cfg.lr)
-    final_mse = full_mse(
-        layer if isinstance(layer, LowRankEmbedding) else layer.weights
-    )
+    final_mse = full_mse()
     return TrainTrace(
         losses=losses,
         final_checksum=_checksum(layer),

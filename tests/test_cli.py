@@ -223,6 +223,16 @@ class TestChecks:
         assert code == 0
         assert float(porcelain(out)["max_rel_error"]) < 1e-5
 
+    @pytest.mark.parametrize("batch", ["0", "-3"])
+    def test_gradcheck_rejects_a_batch_below_one(self, capsys, tmp_path, batch):
+        model = str(tmp_path / "m.tte")
+        run_cli(capsys, "init", "--vocab", "16", "--dim", "8", "--n", "2",
+                "--ranks", "2", "--seed", "1", "--out", model)
+        code, out, err = run_cli(capsys, "gradcheck", "--in", model, "--batch", batch)
+        assert code == 2
+        assert out == ""
+        assert f"--batch must be >= 1, got {batch}" in err
+
     def test_rankcheck_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "--porcelain", "rankcheck", "--vocab", "64", "--dim", "16",
@@ -350,6 +360,20 @@ class TestTrainDemo:
         assert code == 2
         assert out == ""
         assert f"{key} must be >= 1" in err
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("steps", "2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("vocab", "1e3", "invalid literal for int() with base 10: '1e3'"),
+        ("ranks", "2,x", "invalid literal for int() with base 10: 'x'"),
+        ("lr", "fast", "could not convert string to float: 'fast'"),
+    ])
+    def test_unparsable_value_names_the_file_and_key(self, capsys, tmp_path, key, value, why):
+        kv = dict(vocab=16, dim=16, n=2, ranks=2, steps=2)
+        cfg = self.write_config(tmp_path, **{**kv, key: value})
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}: {key}: {why}" in err
 
     def test_toy_classify(self, capsys, tmp_path):
         cfg = self.write_config(

@@ -401,6 +401,12 @@ def tape_case(ring, seed=30):
     return layer, idx, rng.standard_normal((idx.size, layer.dim))
 
 
+def test_materialize_serves_the_vocabulary():
+    m = random_tr(TAPE_PLAN, 3, 0.9, 32)
+    layer = TTEmbedding(m, vocab=20)
+    assert layer.materialize().tobytes() == m.materialize()[:20].tobytes()
+
+
 class TestTape:
     """forward keeps what the chain kernel built; backward of the same
     indices starts from it and must give the bits a recompute gives."""
@@ -558,6 +564,21 @@ def count_calls(monkeypatch, owner, name) -> list:
 
 
 class TestTapeTraffic:
+    @pytest.mark.parametrize("ring", [1, 3])
+    def test_only_a_tape_handed_in_copies_the_cores(self, ring, monkeypatch):
+        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+        layer, idx, upstream = tape_case(ring)
+        several_blocks(monkeypatch, layer.weights, 4)
+        rows = np.unique(idx)
+        records = count_calls(monkeypatch, ttmatrix.Tape, "record")
+        layer.weights.rows(idx)
+        layer.weights.row_grads(rows, upstream[: rows.size])
+        assert records == []  # the tapes these calls made for themselves
+        layer.forward(idx)
+        assert len(records) == 1
+        layer.backward(idx, upstream)
+        assert len(records) == 1  # backward ran from the tape
+
     def test_step_decodes_and_sweeps_once(self, monkeypatch):
         monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
         layer, idx, upstream = tape_case(3)

@@ -33,6 +33,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(plan=SMALL, steps=0)
 
+    @pytest.mark.parametrize("name", ["steps", "batch", "seed", "ring_rank", "lowrank_dim"])
+    def test_rejects_a_non_integer(self, name):
+        with pytest.raises(TypeError, match=f"^{name} 2.5 is not an integer$"):
+            TrainConfig(plan=SMALL, **{name: 2.5})
+
+    def test_takes_numpy_integers_as_ints(self):
+        cfg = TrainConfig(plan=SMALL, steps=np.int64(3), seed=np.uint8(4))
+        assert (type(cfg.steps), type(cfg.seed)) == (int, int)
+
     @pytest.mark.parametrize("name", ["ring_rank", "lowrank_dim"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_rejects_rank_below_one(self, name, value):

@@ -322,6 +322,33 @@ def test_gradient_does_not_depend_on_the_blocking(plan, ring, monkeypatch):
         assert len(decodes) == seen + 2  # a miss: the batch was built again
 
 
+@pytest.mark.parametrize("ring", [1, 3])
+@pytest.mark.parametrize("plan", [RULE_PLAN, FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2))])
+def test_rows_without_a_tape_match_a_taped_call(plan, ring, monkeypatch):
+    """rows() without a tape, decoded once and built _block_rows() rows at
+    a time on a tape of its own, gives the bits of a taped call, which
+    builds the batch as one block, whatever KERNEL_BLOCK is."""
+    monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+    m = random_tt(plan, 0.9, 44) if ring == 1 else random_tr(plan, ring, 0.9, 44)
+    rng = np.random.default_rng(45)
+    idx = rng.integers(plan.padded_rows, size=14)
+    idx[-4:] = idx[:4]  # repeats
+    assert np.any(idx[1:] < idx[:-1])
+    want = m.rows(idx, ttmatrix.Tape())
+    per_row = max(m._row_entries())
+    decodes = count_decodes(monkeypatch)
+    blocks, prefixes = [], ttmatrix.TTMatrix._prefixes
+    monkeypatch.setattr(ttmatrix.TTMatrix, "_prefixes",
+                        lambda self, d, tape: blocks.append(d[0].size) or prefixes(self, d, tape))
+    for block, rows in ((1, 1), (2 * per_row, 2), (5 * per_row, 5), (1 << 20, 14)):
+        monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", block)
+        del decodes[:], blocks[:]
+        assert m.rows(idx).tobytes() == want.tobytes()
+        assert len(decodes) == 1
+        assert blocks == [rows] * (14 // rows) + [14 % rows] * (14 % rows > 0)
+        assert m.rows(idx, ttmatrix.Tape()).tobytes() == want.tobytes()
+
+
 class TestMaterialize:
     def test_identity_construction(self):
         plan = FactorizationPlan((3, 3), (3, 3), 9, (1,))
