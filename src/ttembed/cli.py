@@ -306,9 +306,11 @@ def _cmd_train_demo(args, out: Printer) -> int:
     plan = plan_embedding(
         value("vocab", int), value("dim", int), value("n", int), value("ranks", _parse_ranks)
     )
-    cfg = training.TrainConfig(
-        plan=plan, **{k: value(k, conv) for k, conv in _TRAIN_KEYS.items() if k in raw}
-    )
+    kwargs = {k: value(k, conv) for k, conv in _TRAIN_KEYS.items() if k in raw}
+    try:
+        cfg = training.TrainConfig(plan=plan, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     trace = training.run(cfg)
     out.kv("steps", len(trace.losses))
     out.kv("first_loss", trace.losses[0])

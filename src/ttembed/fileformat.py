@@ -14,15 +14,18 @@ TTE1 (tensorized embedding, version 1), all little-endian:
 DMAT is a bare dense matrix: b"DMAT", dtype u8, rows u64, cols u64,
 row-major float64 payload.
 
-Loading checks magic, dtype, rank chain, boundary/closure ranks and the
-exact payload length before reading any core, each with its own message;
-plan and finiteness violations found while building the model are
-reported as FileFormatError too.
+Loading reads the header, then checks magic, dtype, rank chain and
+boundary/closure ranks, each with its own message.  It checks the exact
+payload length against the file's size before it allocates anything the
+header sizes, then reads each array straight into its memory.  Plan and
+finiteness violations found while building the model are reported as
+FileFormatError too.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -40,13 +43,32 @@ class FileFormatError(ValueError):
     """Malformed or corrupt TTE1/DMAT payload."""
 
 
-def _take(buf: bytes, offset: int, size: int, what: str):
-    if offset + size > len(buf):
+def _take(fh, size: int, what: str) -> bytes:
+    """The next `size` header bytes of fh; fewer raise FileFormatError."""
+    raw = fh.read(size)
+    if len(raw) != size:
+        end = fh.tell()
         raise FileFormatError(
-            f"truncated file: expected {offset + size} bytes for {what}, "
-            f"got {len(buf)}"
+            f"truncated file: expected {end - len(raw) + size} bytes for {what}, "
+            f"got {end}"
         )
-    return buf[offset : offset + size], offset + size
+    return raw
+
+
+def _payload(fh, shapes) -> list:
+    """One C-ordered little-endian float64 array per shape, read from fh
+    straight into its memory.  The bytes left in the file must be exactly
+    the arrays' total; that is checked against the file's size before any
+    array is allocated, so a header claiming a huge payload allocates
+    nothing, and again by the reads."""
+    expected = sum(math.prod(shape) for shape in shapes) * 8
+    got = os.fstat(fh.fileno()).st_size - fh.tell()
+    if got == expected:
+        arrays = [np.empty(shape, dtype="<f8") for shape in shapes]
+        got = sum(fh.readinto(arr) for arr in arrays) + len(fh.read(1))
+        if got == expected:
+            return arrays
+    raise FileFormatError(f"payload length mismatch: expected {expected} bytes, got {got}")
 
 
 def save_tt(path, m) -> None:
@@ -66,45 +88,31 @@ def save_tt(path, m) -> None:
 def load_tt(path):
     """Read a TTE1 file back into a TTMatrix or TRMatrix."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    raw, off = _take(buf, 0, 4, "magic")
-    if raw != TT_MAGIC:
-        raise FileFormatError(f"bad magic at offset 0: {raw!r}")
-    raw, off = _take(buf, off, 4, "header")
-    kind, dtype, n = struct.unpack("<BBH", raw)
-    if kind not in (0, 1):
-        raise FileFormatError(f"unknown kind byte {kind}")
-    if dtype != DTYPE_FLOAT64:
-        raise FileFormatError(f"unsupported dtype byte {dtype}")
-    if n < 1:
-        raise FileFormatError("core count must be >= 1")
-    dims = []
-    for k in range(n):
-        raw, off = _take(buf, off, 16, f"core {k} dims")
-        d = struct.unpack("<4I", raw)
-        if min(d) < 1:
-            raise FileFormatError(f"core {k} has a zero extent")
-        dims.append(d)
-    raw, off = _take(buf, off, 8, "vocab")
-    (vocab,) = struct.unpack("<Q", raw)
-    for k in range(n - 1):
-        if dims[k][3] != dims[k + 1][0]:
-            raise FileFormatError(f"rank chain broken between cores {k} and {k + 1}")
-    if kind == 0 and (dims[0][0] != 1 or dims[-1][3] != 1):
-        raise FileFormatError("kind 0 requires boundary ranks of 1")
-    if kind == 1 and dims[0][0] != dims[-1][3]:
-        raise FileFormatError("kind 1 requires matching closure ranks")
-    expected = sum(r_in * i * j * r_out for r_in, i, j, r_out in dims) * 8
-    if len(buf) - off != expected:
-        raise FileFormatError(
-            f"payload length mismatch: expected {expected} bytes, "
-            f"got {len(buf) - off}"
-        )
-    cores = []
-    for d in dims:
-        size = d[0] * d[1] * d[2] * d[3] * 8
-        raw, off = _take(buf, off, size, "core payload")
-        cores.append(np.frombuffer(raw, dtype="<f8").reshape(d).copy())
+        raw = _take(fh, 4, "magic")
+        if raw != TT_MAGIC:
+            raise FileFormatError(f"bad magic at offset 0: {raw!r}")
+        kind, dtype, n = struct.unpack("<BBH", _take(fh, 4, "header"))
+        if kind not in (0, 1):
+            raise FileFormatError(f"unknown kind byte {kind}")
+        if dtype != DTYPE_FLOAT64:
+            raise FileFormatError(f"unsupported dtype byte {dtype}")
+        if n < 1:
+            raise FileFormatError("core count must be >= 1")
+        dims = []
+        for k in range(n):
+            d = struct.unpack("<4I", _take(fh, 16, f"core {k} dims"))
+            if min(d) < 1:
+                raise FileFormatError(f"core {k} has a zero extent")
+            dims.append(d)
+        (vocab,) = struct.unpack("<Q", _take(fh, 8, "vocab"))
+        for k in range(n - 1):
+            if dims[k][3] != dims[k + 1][0]:
+                raise FileFormatError(f"rank chain broken between cores {k} and {k + 1}")
+        if kind == 0 and (dims[0][0] != 1 or dims[-1][3] != 1):
+            raise FileFormatError("kind 0 requires boundary ranks of 1")
+        if kind == 1 and dims[0][0] != dims[-1][3]:
+            raise FileFormatError("kind 1 requires matching closure ranks")
+        cores = _payload(fh, dims)
     row_factors = tuple(d[1] for d in dims)
     col_factors = tuple(d[2] for d in dims)
     padded = math.prod(row_factors)
@@ -134,18 +142,11 @@ def save_dmat(path, m: np.ndarray) -> None:
 
 def load_dmat(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    raw, off = _take(buf, 0, 4, "magic")
-    if raw != DMAT_MAGIC:
-        raise FileFormatError(f"bad magic at offset 0: {raw!r}")
-    raw, off = _take(buf, off, 17, "header")
-    dtype, rows, cols = struct.unpack("<BQQ", raw)
-    if dtype != DTYPE_FLOAT64:
-        raise FileFormatError(f"unsupported dtype byte {dtype}")
-    expected = rows * cols * 8
-    if len(buf) - off != expected:
-        raise FileFormatError(
-            f"payload length mismatch: expected {expected} bytes, "
-            f"got {len(buf) - off}"
-        )
-    return np.frombuffer(buf[off:], dtype="<f8").reshape(rows, cols).copy()
+        raw = _take(fh, 4, "magic")
+        if raw != DMAT_MAGIC:
+            raise FileFormatError(f"bad magic at offset 0: {raw!r}")
+        dtype, rows, cols = struct.unpack("<BQQ", _take(fh, 17, "header"))
+        if dtype != DTYPE_FLOAT64:
+            raise FileFormatError(f"unsupported dtype byte {dtype}")
+        (m,) = _payload(fh, [(rows, cols)])
+    return m

@@ -1,7 +1,9 @@
-"""Shape errors, the SVD and the numerical rank used by every other module.
+"""Shape errors, the SVD, the R factor and the numerical rank used by
+every other module.
 
 The SVD is numpy's LAPACK driver.  A fixed sign convention on top makes
-its factors independent of the signs the driver happens to pick.
+its factors independent of the signs the driver happens to pick.  The R
+factor of a tall matrix is a tall-skinny QR by row blocks.
 """
 
 from __future__ import annotations
@@ -14,10 +16,14 @@ __all__ = [
     "ShapeError",
     "SvdResult",
     "svd",
+    "r_factor",
     "numerical_rank",
 ]
 
 DEFAULT_RANK_TOL = 1e-9
+# float64 entries in one row block of r_factor (256 KiB): a block's QR
+# runs from cache, where one QR of a tall matrix streams it from memory
+QR_BLOCK_ENTRIES = 1 << 15
 
 
 class ShapeError(ValueError):
@@ -58,6 +64,30 @@ def svd(m: np.ndarray) -> SvdResult:
     u[:, flip] *= -1.0
     vt[flip, :] *= -1.0
     return SvdResult(u=u, singular_values=s, vt=vt)
+
+
+def r_factor(a: np.ndarray) -> np.ndarray:
+    """R of ``a = QR`` (``np.linalg.qr(a, mode="r")``), so that
+    ``R^T R = a^T a``; R has ``min(rows, cols)`` rows and forms no Q.
+
+    Tall-skinny QR by row blocks (Demmel, Grigori, Hoemmen and Langou,
+    SIAM J. Sci. Comput. 34(1), 2012): QR each block of rows, stack the
+    blocks' R factors and repeat until one block is left.  A block holds
+    about QR_BLOCK_ENTRIES entries and at least ``2 * cols`` rows, so
+    every round at least halves the rows of each full block.  R may
+    differ from the unblocked one by the sign of each row and by
+    rounding.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError("r_factor expects a matrix")
+    cols = a.shape[1]
+    block = max(QR_BLOCK_ENTRIES // max(cols, 1), 2 * cols)
+    while a.shape[0] > block:
+        a = np.concatenate(
+            [np.linalg.qr(a[i : i + block], mode="r") for i in range(0, a.shape[0], block)]
+        )
+    return np.linalg.qr(a, mode="r")
 
 
 def numerical_rank(m: np.ndarray, tol_factor: float = DEFAULT_RANK_TOL) -> int:

@@ -59,6 +59,8 @@ class TrainConfig:
             setattr(self, name, _as_int(getattr(self, name), name))
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("ring_rank", "lowrank_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -17,7 +17,7 @@ from math import prod
 import numpy as np
 
 from .indexing import MixedRadix
-from .linalg import ShapeError, svd
+from .linalg import ShapeError, r_factor, svd
 from .planning import FactorizationPlan
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
@@ -601,12 +601,14 @@ def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
     values are always dropped).  The result's plan carries the ranks kept.
 
     Route: an unfolding ``mat`` with fewer rows than columns is factored
-    through the R factor of ``mat.T = QR``.  ``mat = R^T Q^T`` has the
-    left factors and singular values of ``R^T``, a square SVD, so no wide
-    SVD runs.  Square and tall unfoldings take ``svd(mat)``.  Either way
-    the remainder passed on is the projection ``u_r^T @ mat`` (equal to
-    ``s_r vt_r`` in exact arithmetic), and the truncation threshold
-    scales with ``max(mat.shape)`` of the unfolding, not of ``R``.
+    through the R factor of ``mat.T = QR``, which ``r_factor`` builds
+    from QRs of row blocks of ``mat.T`` (a tall-skinny QR that forms no
+    Q).  ``mat = R^T Q^T`` has the left factors and singular values of
+    ``R^T``, a square SVD, so no wide SVD runs.  Square and tall
+    unfoldings take ``svd(mat)``.  Either way the remainder passed on is
+    the projection ``u_r^T @ mat`` (equal to ``s_r vt_r`` in exact
+    arithmetic), and the truncation threshold scales with
+    ``max(mat.shape)`` of the unfolding, not of ``R``.
     Non-finite input raises ValueError before any LAPACK call."""
     dense = np.asarray(dense, dtype=np.float64)
     n = plan.n_cores
@@ -630,7 +632,7 @@ def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
             # the F-order reshape only splits mat's two axes, so it is a view
             mat = np.empty((rows, cols))
             mat.reshape(rest.shape, order="F")[...] = rest
-            res = svd(np.linalg.qr(mat.T, mode="r").T)
+            res = svd(r_factor(mat.T).T)
         else:
             mat = rest.reshape((rows, cols), order="F")
             res = svd(mat)

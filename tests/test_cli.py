@@ -375,6 +375,13 @@ class TestTrainDemo:
         assert out == ""
         assert f"{cfg}: {key}: {why}" in err
 
+    def test_negative_seed_names_the_file_and_key(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, vocab=16, dim=16, n=2, ranks=2, steps=2, seed=-1)
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}: seed must be >= 0, got -1" in err
+
     def test_toy_classify(self, capsys, tmp_path):
         cfg = self.write_config(
             tmp_path, task="toy-classify", vocab=16, dim=8, n=2, ranks=2,

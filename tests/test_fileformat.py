@@ -1,8 +1,12 @@
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ttembed import fileformat
 from ttembed.fileformat import (
     FileFormatError,
     load_dmat,
@@ -13,6 +17,8 @@ from ttembed.fileformat import (
 from ttembed.planning import FactorizationPlan
 from ttembed.trmatrix import TRMatrix, random_tr
 from ttembed.ttmatrix import TTMatrix, random_tt
+
+DMAT_HEADER = struct.Struct("<4sBQQ")
 
 
 @pytest.fixture
@@ -250,6 +256,65 @@ class TestCorruption:
         short.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FileFormatError, match="payload length mismatch"):
             load_dmat(short)
+
+
+class TestPayloadReader:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (7, 5)])
+    def test_dmat_roundtrip(self, tmp_path, shape):
+        m = np.random.default_rng(3).standard_normal(shape)
+        path = tmp_path / "m.dmat"
+        save_dmat(path, m)
+        back = load_dmat(path)
+        assert back.shape == shape
+        assert back.tobytes() == m.tobytes()
+        assert back.dtype == np.float64
+        assert back.flags.c_contiguous and back.flags.writeable
+
+    def test_tt_roundtrip(self, tt):
+        _, m, path = tt
+        back = load_tt(path)
+        assert [c.tobytes() for c in back.cores] == [c.tobytes() for c in m.cores]
+        for c in back.cores:
+            assert c.dtype == np.float64
+            assert c.flags.c_contiguous and c.flags.writeable
+
+    @pytest.mark.parametrize("rows", [2**20, 2**40])
+    def test_a_huge_header_allocates_nothing(self, tmp_path, rows):
+        path = tmp_path / "huge.dmat"
+        path.write_bytes(DMAT_HEADER.pack(b"DMAT", 0, rows, 3) + np.ones(6).tobytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(FileFormatError, match="payload length mismatch"):
+                load_dmat(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_trailing_byte(self, tt, tmp_path):
+        _, _, path = tt
+        with pytest.raises(FileFormatError, match="payload length mismatch"):
+            load_tt(corrupt(path, tmp_path, lambda b: b + b"\x00"))
+        save_dmat(tmp_path / "m.dmat", np.eye(3))
+        grown = tmp_path / "grown.dmat"
+        grown.write_bytes((tmp_path / "m.dmat").read_bytes() + b"\x00")
+        with pytest.raises(FileFormatError, match="payload length mismatch"):
+            load_dmat(grown)
+
+    # a file whose size changes between the length check and the reads
+    @pytest.mark.parametrize("change", [-8, 1], ids=["shrunk", "grown"])
+    def test_the_reads_check_the_length_again(self, tmp_path, monkeypatch, change):
+        save_dmat(tmp_path / "m.dmat", np.eye(3))
+        buf = (tmp_path / "m.dmat").read_bytes()
+        path = tmp_path / "changed.dmat"
+        path.write_bytes(buf[:change] if change < 0 else buf + b"\x00" * change)
+
+        def stale_fstat(fd):
+            return SimpleNamespace(st_size=os.fstat(fd).st_size - change)
+
+        monkeypatch.setattr(fileformat, "os", SimpleNamespace(fstat=stale_fstat))
+        with pytest.raises(FileFormatError, match="payload length mismatch"):
+            load_dmat(path)
 
 
 def _fuzz_sources(tmp_path):

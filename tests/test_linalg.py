@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ttembed.linalg import ShapeError, numerical_rank, svd
+from ttembed import linalg
+from ttembed.linalg import ShapeError, numerical_rank, r_factor, svd
 
 
 class TestSvd:
@@ -71,6 +72,55 @@ class TestSvd:
         assert res.u.shape == (rows, 0)
         assert res.singular_values.shape == (0,)
         assert res.vt.shape == (0, cols)
+
+
+# row counts of r_factor's input around its block of rows
+R_FACTOR_ROWS = {
+    "1": lambda block: 1,
+    "block-1": lambda block: block - 1,
+    "block": lambda block: block,
+    "block+1": lambda block: block + 1,
+    "3*block+17": lambda block: 3 * block + 17,
+}
+
+
+class TestRFactor:
+    # (cols, QR_BLOCK_ENTRIES): the module's budget, and one so small that
+    # the stacked R factors of 3 * block + 17 rows take a second round
+    @pytest.mark.parametrize("cols, budget", [(5, None), (64, None), (4, 64)])
+    @pytest.mark.parametrize("rows", sorted(R_FACTOR_ROWS))
+    @pytest.mark.parametrize("kind", ["gaussian", "zero", "rank-2"])
+    def test_matches_the_gram_and_singular_values(self, monkeypatch, cols, budget, rows, kind):
+        if budget is not None:
+            monkeypatch.setattr(linalg, "QR_BLOCK_ENTRIES", budget)
+        block = max(linalg.QR_BLOCK_ENTRIES // cols, 2 * cols)
+        rows = R_FACTOR_ROWS[rows](block)
+        rng = np.random.default_rng(rows + cols)
+        a = rng.standard_normal((rows, cols))
+        if kind == "zero":
+            a[...] = 0.0
+        elif kind == "rank-2":
+            a = rng.standard_normal((rows, 2)) @ rng.standard_normal((2, cols))
+        qrs = []
+        lapack = np.linalg.qr
+
+        def spy(m, *args, **kwargs):
+            qrs.append(m.shape[0])
+            return lapack(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        r = r_factor(a)
+        assert r.shape == (min(rows, cols), cols)
+        assert max(qrs) <= block
+        assert len(qrs) == 1 if rows <= block else len(qrs) > 2
+        norm_sq = np.linalg.norm(a) ** 2
+        assert np.all(np.abs(r.T @ r - a.T @ a) <= 1e-12 * norm_sq)
+        s, s_ref = np.linalg.svd(r, compute_uv=False), np.linalg.svd(a, compute_uv=False)
+        assert np.all(np.abs(s - s_ref) <= 1e-13 * s_ref[0])
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ShapeError, match="r_factor expects a matrix"):
+            r_factor(np.ones(3))
 
 
 class TestNumericalRank:

@@ -38,6 +38,11 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"^{name} 2.5 is not an integer$"):
             TrainConfig(plan=SMALL, **{name: 2.5})
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrainConfig(plan=SMALL, seed=-1)
+        assert TrainConfig(plan=SMALL, seed=0).seed == 0
+
     def test_takes_numpy_integers_as_ints(self):
         cfg = TrainConfig(plan=SMALL, steps=np.int64(3), seed=np.uint8(4))
         assert (type(cfg.steps), type(cfg.seed)) == (int, int)

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_plan, random_tt_from
 
 from ttembed.fileformat import load_tt, save_tt
-from ttembed import ttmatrix
+from ttembed import linalg, ttmatrix
 from ttembed.indexing import MixedRadix
 from ttembed.linalg import ShapeError
 from ttembed.planning import FactorizationPlan, plan_embedding
@@ -551,6 +551,13 @@ def best_unfolding_errors_sq(dense, plan, ranks):
     ]
 
 
+# the first unfolding's transpose spans several of r_factor's row blocks
+# and ends in a ragged one: 16 x 6000 (blocks of 2048 rows) and 4 x 16000
+# (blocks of 8192)
+MULTI_BLOCK_CASES = [
+    (FactorizationPlan((4, 150), (4, 40), 600, (6,)), 1e-2),
+    (FactorizationPlan((2, 50, 4), (2, 10, 8), 390, (4, 6)), None),
+]
 # first unfolding wide, square or tall; N = 2..4; padded rows where
 # requested_rows < prod(row_factors); noise None is a Gaussian table
 CONTRACT_CASES = [
@@ -566,7 +573,7 @@ CONTRACT_CASES = [
     (FactorizationPlan((2, 2, 2, 2), (4, 2, 2, 2), 16, (3, 4, 3)), 1e-2),
     (FactorizationPlan((3, 3, 3, 3), (3, 3, 3, 3), 70, (4, 6, 4)), None),
     (FactorizationPlan((9, 2, 2, 2), (8, 2, 2, 2), 68, (4, 5, 3)), 1e-2),
-]
+] + MULTI_BLOCK_CASES
 
 
 def contract_table(plan, noise, seed):
@@ -614,6 +621,13 @@ class TestTTSvdContract:
         # wide unfoldings reach svd as their square R^T factor
         assert len(svd_shapes) == plan.n_cores - 1
         assert all(rows >= cols for rows, cols in svd_shapes)
+
+    @pytest.mark.parametrize("plan", [plan for plan, _ in MULTI_BLOCK_CASES])
+    def test_multi_block_cases_end_in_a_ragged_block(self, plan):
+        rows = plan.row_factors[0] * plan.col_factors[0]
+        cols = plan.padded_rows * plan.cols // rows
+        block = max(linalg.QR_BLOCK_ENTRIES // rows, 2 * rows)
+        assert cols > block and cols % block
 
     def test_compress_plan_route(self, svd_shapes):
         plan = plan_embedding(512, 512, 3, 16)
