@@ -124,12 +124,8 @@ def init_statistics(
 
 
 @dataclass(frozen=True)
-class CompressionRow:
+class CompressionRow(CompressionStats):
     rank: int
-    tt_params: int
-    dense_params: int
-    ratio: float
-    tied_ratio: float
     lowrank_d: int
     lowrank_max_rank: int
 
@@ -141,18 +137,14 @@ def compression_table(vocab: int, dim: int, n: int, rank_ladder):
     for rank in rank_ladder:
         rank = _as_int(rank, "rank")
         plan = plan_embedding(vocab, dim, n, rank)
-        tt_params = plan.parameter_count
-        stats = CompressionStats.from_counts(tt_params, plan.padded_rows * plan.cols)
-        d = tt_params // (plan.padded_rows + plan.cols)
+        stats = CompressionStats.from_counts(plan.parameter_count, plan.padded_rows * plan.cols)
+        d = stats.tt_params // (plan.padded_rows + plan.cols)
         rows.append(
             CompressionRow(
                 rank=rank,
-                tt_params=tt_params,
-                dense_params=stats.dense_params,
-                ratio=stats.ratio,
-                tied_ratio=stats.tied_ratio,
                 lowrank_d=d,
                 lowrank_max_rank=min(d, plan.padded_rows, plan.cols),
+                **vars(stats),
             )
         )
     return rows

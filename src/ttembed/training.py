@@ -27,6 +27,7 @@ from .ttmatrix import glorot_tt
 
 TASKS = ("matrix-fit", "toy-classify")
 KINDS = ("tt", "tr", "lowrank", "dense")
+_RANDOM_STD = 0.3  # entry std of the tr and lowrank initializers when none is given
 
 
 class DivergenceError(RuntimeError):
@@ -76,25 +77,23 @@ class TrainTrace:
     metadata: dict = field(default_factory=dict)
 
 
+def _weights(plan: FactorizationPlan, kind: str, seed: int, std, ring_rank: int):
+    """Seeded weights of a ``tt`` chain (``glorot_tt``, Glorot std unless
+    given) or a ``tr`` ring (``random_tr``, ``_RANDOM_STD`` unless given)."""
+    if kind == "tt":
+        return glorot_tt(plan, seed, std=std)
+    return random_tr(plan, ring_rank, _RANDOM_STD if std is None else std, seed)
+
+
 def _make_layer(cfg: TrainConfig, vocab: int):
-    plan, seed = cfg.plan, cfg.seed + 1
-    if cfg.kind == "tt":
-        return TTEmbedding(glorot_tt(plan, seed, std=cfg.init_std), vocab=vocab)
-    if cfg.kind == "tr":
-        std = cfg.init_std if cfg.init_std is not None else 0.3
-        return TTEmbedding(
-            random_tr(plan, cfg.ring_rank, std, seed), vocab=vocab
-        )
-    if cfg.kind == "dense":
-        dense_plan = FactorizationPlan(
-            row_factors=(plan.padded_rows,),
-            col_factors=(plan.cols,),
-            requested_rows=plan.requested_rows,
-            ranks=(),
-        )
-        return TTEmbedding(glorot_tt(dense_plan, seed, std=cfg.init_std), vocab=vocab)
-    std = cfg.init_std if cfg.init_std is not None else 0.3
-    return random_lowrank(plan.padded_rows, plan.cols, cfg.lowrank_dim, std, seed)
+    plan, seed, kind = cfg.plan, cfg.seed + 1, cfg.kind
+    if kind == "lowrank":
+        std = _RANDOM_STD if cfg.init_std is None else cfg.init_std
+        return random_lowrank(plan.padded_rows, plan.cols, cfg.lowrank_dim, std, seed)
+    if kind == "dense":  # a one-core chain is the whole table
+        plan = FactorizationPlan((plan.padded_rows,), (plan.cols,), plan.requested_rows, ())
+        kind = "tt"
+    return TTEmbedding(_weights(plan, kind, seed, cfg.init_std, cfg.ring_rank), vocab=vocab)
 
 
 def _checksum(layer) -> str:

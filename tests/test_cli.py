@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,38 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--in", "/nonexistent.tte")
         assert code == 2
+
+
+# every flag each subcommand accepts, the shared --in and --vocab/--dim/--n included
+SUBCOMMAND_FLAGS = {
+    "factorize": ("--size", "--n", "--pad"),
+    "init": ("--vocab", "--dim", "--n", "--ranks", "--seed", "--std", "--kind",
+             "--ring-rank", "--out"),
+    "compress": ("--in", "--n", "--ranks", "--out"),
+    "reconstruct": ("--in", "--out"),
+    "lookup": ("--in", "--indices"),
+    "stats": ("--in",),
+    "gradcheck": ("--in", "--seed", "--batch"),
+    "rankcheck": ("--vocab", "--dim", "--n", "--rank", "--seeds", "--tol"),
+    "initstats": ("--vocab", "--dim", "--n", "--ranks", "--draws", "--sigma"),
+    "table": ("--vocab", "--dim", "--n", "--ranks"),
+    "train-demo": ("--config",),
+}
+
+
+class TestHelp:
+    def test_every_subcommand_is_covered(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        listed = re.search(r"\{([\w,-]+)\}", out).group(1).split(",")
+        assert sorted(listed) == sorted(SUBCOMMAND_FLAGS)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_help_lists_every_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert err == ""
+        assert set(re.findall(r"--[\w-]+", out)) == {"--help", *SUBCOMMAND_FLAGS[command]}
 
 
 class TestFactorize:
@@ -143,6 +176,18 @@ class TestInitStatsLookup:
         code, _, err = run_cli(capsys, "lookup", "--in", model, "--indices", "60")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["tt", "tr"])
+    def test_init_rejects_a_negative_seed(self, capsys, tmp_path, kind):
+        model = tmp_path / "m.tte"
+        code, out, err = run_cli(
+            capsys, "init", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "2",
+            "--kind", kind, "--seed", "-1", "--out", str(model),
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seed must be >= 0, got -1" in err
+        assert not model.exists()
+
     def test_tr_init(self, capsys, tmp_path):
         model = str(tmp_path / "m.tte")
         code, _, _ = run_cli(
@@ -232,6 +277,24 @@ class TestChecks:
         assert code == 2
         assert out == ""
         assert f"--batch must be >= 1, got {batch}" in err
+
+    def test_gradcheck_rejects_a_negative_seed(self, capsys, tmp_path):
+        model = str(tmp_path / "m.tte")
+        run_cli(capsys, "init", "--vocab", "16", "--dim", "8", "--n", "2",
+                "--ranks", "2", "--seed", "1", "--out", model)
+        code, out, err = run_cli(capsys, "gradcheck", "--in", model, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--seed must be >= 0, got -1" in err
+
+    def test_rankcheck_rejects_negative_seeds(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rankcheck", "--vocab", "16", "--dim", "16", "--n", "2",
+            "--rank", "2", "--seeds", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seeds must be >= 0, got -3" in err
 
     def test_rankcheck_passes(self, capsys):
         code, out, _ = run_cli(
