@@ -11,7 +11,9 @@ returns the exit code.  Options that several subcommands share are
 declared once, as parent parsers: ``--in`` (compress, reconstruct,
 lookup, stats, gradcheck) and ``--vocab/--dim/--n`` (init, rankcheck,
 initstats, table).  A flag value out of range, such as a negative
-``--seed``, is a data error (exit 2) that names the flag.
+``--seed`` or an infinite ``--std``, is a data error (exit 2) that
+names the flag; a train-demo config error, divergence included, is one
+that names the config file.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import analysis, training
 from .fileformat import FileFormatError, load_dmat, load_tt, save_dmat, save_tt
 from .layers import TTEmbedding
 from .linalg import ShapeError
-from .planning import factorize_balanced, plan_embedding
+from .planning import _positive_finite, factorize_balanced, plan_embedding
 from .ttmatrix import tt_svd
 
 USAGE_EXIT = 1
@@ -93,6 +95,8 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_init(args) -> int:
     _at_least("--seed", args.seed, 0)
+    if args.std is not None:
+        _positive_finite(args.std, "--std")
     plan = plan_embedding(args.vocab, args.dim, args.n, _parse_ranks(args.ranks))
     m = training._weights(plan, args.kind, args.seed, args.std, args.ring_rank)
     save_tt(args.out, m)
@@ -171,6 +175,7 @@ def _cmd_rankcheck(args) -> int:
 
 
 def _cmd_initstats(args) -> int:
+    _positive_finite(args.sigma, "--sigma")
     plan = plan_embedding(args.vocab, args.dim, args.n, 1)
     ladder = _parse_int_list(args.ranks)
     for r in analysis.init_statistics(plan, ladder, args.draws, sigma=args.sigma):
@@ -213,30 +218,29 @@ _TRAIN_KEYS = {
 
 
 def _cmd_train_demo(args) -> int:
-    raw = _load_config(args.config)
-    unknown = sorted(raw.keys() - {"vocab", "dim", "n", "ranks"} - _TRAIN_KEYS.keys())
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-    missing = [k for k in ("vocab", "dim") if k not in raw]
-    if missing:
-        raise ValueError(f"{args.config}: missing config keys: {', '.join(missing)}")
-    raw = {"n": "3", "ranks": "8", **raw}
+    raw = {"n": "3", "ranks": "8", **_load_config(args.config)}
 
     def value(key, conv):
         try:
             return conv(raw[key])
         except ValueError as exc:
-            raise ValueError(f"{args.config}: {key}: {exc}") from None
+            raise ValueError(f"{key}: {exc}") from None
 
-    plan = plan_embedding(
-        value("vocab", int), value("dim", int), value("n", int), value("ranks", _parse_ranks)
-    )
-    kwargs = {k: value(k, conv) for k, conv in _TRAIN_KEYS.items() if k in raw}
-    try:
-        cfg = training.TrainConfig(plan=plan, **kwargs)
-    except ValueError as exc:
+    try:  # every error past the file's syntax names the file
+        unknown = sorted(raw.keys() - {"vocab", "dim", "n", "ranks"} - _TRAIN_KEYS.keys())
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [k for k in ("vocab", "dim") if k not in raw]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
+        plan = plan_embedding(
+            value("vocab", int), value("dim", int), value("n", int), value("ranks", _parse_ranks)
+        )
+        kwargs = {k: value(k, conv) for k, conv in _TRAIN_KEYS.items() if k in raw}
+        with np.errstate(all="ignore"):  # divergence is reported by the error below
+            trace = training.run(training.TrainConfig(plan=plan, **kwargs))
+    except (ValueError, training.DivergenceError) as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    trace = training.run(cfg)
     _kv(args, "steps", len(trace.losses))
     _kv(args, "first_loss", trace.losses[0])
     _kv(args, "final_loss", trace.losses[-1])

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ShapeError
-from .planning import _as_int, _as_int_array
+from .planning import _as_int, _as_int_array, _positive_finite
 from .ttmatrix import Tape, TTMatrix
 
 
@@ -143,6 +143,7 @@ class LowRankEmbedding(_Layer):
 
 
 def random_lowrank(vocab: int, dim: int, d: int, std: float, seed: int) -> LowRankEmbedding:
+    _positive_finite(std, "std")
     rng = np.random.default_rng(seed)
     return LowRankEmbedding(
         u=rng.normal(0.0, std, size=(vocab, d)),

@@ -47,6 +47,13 @@ def _as_int(value, what: str) -> int:
         raise TypeError(f"{what} {value!r} is not an integer") from None
 
 
+def _positive_finite(value, what: str) -> None:
+    """A value outside (0, inf), such as 0, a NaN or inf, raises a
+    ValueError naming `what`."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
 def _as_int_array(values, what: str) -> np.ndarray:
     """values as an int64 array; floats or bools raise a TypeError naming
     `what`, except in an empty sequence, which has no value to truncate."""

@@ -8,6 +8,12 @@ Two tasks prove the layers are trainable by plain SGD:
   vocabulary, mean-pooled embedding, linear head, logistic loss, head
   and cores trained jointly.
 
+Both run through one SGD loop, _sgd.  Each task hands it a function
+that draws one batch and returns its loss, indices and upstream
+gradient; the loop owns the step count, the finite-loss check that
+raises DivergenceError, the list of losses and the layer's update.  The
+classifier's head steps inside its task's batch function.
+
 Everything is driven by a seeded generator, single-threaded, so
 identical configs produce bitwise-identical traces.
 """
@@ -15,13 +21,12 @@ identical configs produce bitwise-identical traces.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .layers import TTEmbedding, random_lowrank
-from .planning import FactorizationPlan, _as_int
+from .planning import FactorizationPlan, _as_int, _positive_finite
 from .trmatrix import random_tr
 from .ttmatrix import glorot_tt
 
@@ -67,13 +72,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError("learning rate must be finite and >= 0")
+        if self.init_std is not None:
+            _positive_finite(self.init_std, "init_std")
 
 
 @dataclass
 class TrainTrace:
     losses: list
     final_checksum: str
-    wall_clock: float
     metadata: dict = field(default_factory=dict)
 
 
@@ -103,11 +109,28 @@ def _checksum(layer) -> str:
     return h.hexdigest()
 
 
+def _sgd(cfg: TrainConfig, layer, batch_step) -> list:
+    """cfg.steps SGD steps on the layer; returns the losses.
+
+    batch_step() draws one batch and returns (loss, indices, upstream),
+    upstream being d loss / d forward(indices); it updates any parameters
+    of its own.  A non-finite loss raises DivergenceError(step) before the
+    layer takes that step.
+    """
+    losses = []
+    for step in range(cfg.steps):
+        loss, idx, upstream = batch_step()
+        if not np.isfinite(loss):
+            raise DivergenceError(step)
+        losses.append(loss)
+        layer.apply_gradients(layer.backward(idx, upstream), cfg.lr)
+    return losses
+
+
 def run_matrix_fit(cfg: TrainConfig) -> TrainTrace:
     """SGD on the MSE between looked-up rows and a fixed random target."""
     if cfg.task != "matrix-fit":
         raise ValueError("config task is not matrix-fit")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     rows, cols = cfg.plan.padded_rows, cfg.plan.cols
     target = rng.standard_normal((rows, cols))
@@ -116,26 +139,16 @@ def run_matrix_fit(cfg: TrainConfig) -> TrainTrace:
     def full_mse():
         return float(np.mean(np.sum((layer.materialize() - target) ** 2, axis=1)))
 
-    initial_mse = full_mse()
-    losses = []
-    for step in range(cfg.steps):
+    def batch_step():
         idx = rng.integers(0, rows, size=cfg.batch)
-        out = layer.forward(idx)
-        diff = out - target[idx]
+        diff = layer.forward(idx) - target[idx]
         # per-row squared error, averaged over the batch
-        loss = float(np.mean(np.sum(diff**2, axis=1)))
-        if not np.isfinite(loss):
-            raise DivergenceError(step)
-        losses.append(loss)
-        upstream = (2.0 / cfg.batch) * diff
-        layer.apply_gradients(layer.backward(idx, upstream), cfg.lr)
-    final_mse = full_mse()
-    return TrainTrace(
-        losses=losses,
-        final_checksum=_checksum(layer),
-        wall_clock=time.perf_counter() - t0,
-        metadata={"initial_full_mse": initial_mse, "final_full_mse": final_mse},
-    )
+        return float(np.mean(np.sum(diff**2, axis=1))), idx, (2.0 / cfg.batch) * diff
+
+    initial_mse = full_mse()
+    losses = _sgd(cfg, layer, batch_step)
+    metadata = {"initial_full_mse": initial_mse, "final_full_mse": full_mse()}
+    return TrainTrace(losses, _checksum(layer), metadata)
 
 
 def _make_sentences(rng, vocab: int, count: int, length: int = 8):
@@ -156,50 +169,41 @@ def run_toy_classify(cfg: TrainConfig) -> TrainTrace:
     """Joint SGD on embedding cores plus a linear head, logistic loss."""
     if cfg.task != "toy-classify":
         raise ValueError("config task is not toy-classify")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     vocab = cfg.plan.requested_rows
     if vocab < 2:
         raise ValueError("toy-classify needs a vocabulary of at least 2")
-    dim = cfg.plan.cols
     train_x, train_y = _make_sentences(rng, vocab, count=512)
     test_x, test_y = _make_sentences(rng, vocab, count=256)
     layer = _make_layer(cfg, vocab=vocab)
-    w = rng.normal(0.0, 0.1, size=dim)
+    w = rng.normal(0.0, 0.1, size=cfg.plan.cols)
     b = 0.0
     initial_acc = _accuracy(layer, w, b, test_x, test_y)
     length = train_x.shape[1]
-    losses = []
-    for step in range(cfg.steps):
+
+    def batch_step():
+        nonlocal w, b
         pick = rng.integers(0, train_x.shape[0], size=cfg.batch)
-        toks, y = train_x[pick], train_y[pick]
-        emb = layer.forward(toks.ravel()).reshape(cfg.batch, length, dim)
-        pooled = emb.mean(axis=1)
+        toks, y = train_x[pick].ravel(), train_y[pick]
+        pooled = layer.forward(toks).reshape(cfg.batch, length, -1).mean(axis=1)
         z = pooled @ w + b
         # log(1 + e^{-yz}) and its derivative -y sigmoid(-yz) = -y e^{-log(1 + e^{yz})},
         # both without overflow for any finite margin
         loss = float(np.mean(np.logaddexp(0.0, -y * z)))
-        if not np.isfinite(loss):
-            raise DivergenceError(step)
-        losses.append(loss)
         dz = -y * np.exp(-np.logaddexp(0.0, y * z)) / cfg.batch
-        dw = pooled.T @ dz
-        db = float(dz.sum())
         upstream = np.repeat(np.outer(dz, w) / length, length, axis=0)
-        layer.apply_gradients(layer.backward(toks.ravel(), upstream), cfg.lr)
-        w -= cfg.lr * dw
-        b -= cfg.lr * db
-    final_acc = _accuracy(layer, w, b, test_x, test_y)
-    return TrainTrace(
-        losses=losses,
-        final_checksum=_checksum(layer),
-        wall_clock=time.perf_counter() - t0,
-        metadata={
-            "initial_accuracy": initial_acc,
-            "heldout_accuracy": final_acc,
-            "embedding_parameters": layer.parameter_count(),
-        },
-    )
+        # the head steps after upstream took its old w; _sgd steps the cores
+        w -= cfg.lr * (pooled.T @ dz)
+        b -= cfg.lr * float(dz.sum())
+        return loss, toks, upstream
+
+    losses = _sgd(cfg, layer, batch_step)
+    metadata = {
+        "initial_accuracy": initial_acc,
+        "heldout_accuracy": _accuracy(layer, w, b, test_x, test_y),
+        "embedding_parameters": layer.parameter_count(),
+    }
+    return TrainTrace(losses, _checksum(layer), metadata)
 
 
 def run(cfg: TrainConfig) -> TrainTrace:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .indexing import MixedRadix
 from .linalg import ShapeError, r_factor, svd
-from .planning import FactorizationPlan
+from .planning import FactorizationPlan, _positive_finite
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "TTEMBED_MATERIALIZE_CAP"
@@ -548,8 +548,7 @@ def half_rows(m: TTMatrix, indices, s: int) -> np.ndarray:
 def _random_cores(plan: FactorizationPlan, ring_rank: int, std: float, seed: int) -> list:
     """Cores with i.i.d. Normal(0, std^2) entries from a seeded generator,
     drawn core by core, and boundary ranks R_0 = R_N = ring_rank."""
-    if not std > 0.0:
-        raise ValueError("std must be positive")
+    _positive_finite(std, "std")
     if ring_rank < 1:
         raise ValueError("ring_rank must be >= 1")
     rng = np.random.default_rng(seed)
@@ -575,8 +574,7 @@ def glorot_tt(plan: FactorizationPlan, seed: int, std: float | None = None) -> T
     """
     if std is None:
         std = float(np.sqrt(2.0 / (plan.padded_rows + plan.cols)))
-    if not std > 0.0:
-        raise ValueError("std must be positive")
+    _positive_finite(std, "std")
     big_sigma_sq = float(prod(plan.ranks))
     core_std = (std**2 / big_sigma_sq) ** (1.0 / (2 * plan.n_cores))
     return random_tt(plan, core_std, seed)

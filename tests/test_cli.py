@@ -188,6 +188,19 @@ class TestInitStatsLookup:
         assert "--seed must be >= 0, got -1" in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("kind", ["tt", "tr"])
+    @pytest.mark.parametrize("std", ["inf", "nan", "0"])
+    def test_init_rejects_a_std_outside_zero_to_inf(self, capsys, tmp_path, kind, std):
+        model = tmp_path / "m.tte"
+        code, out, err = run_cli(
+            capsys, "init", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "2",
+            "--kind", kind, "--std", std, "--out", str(model),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--std must be positive and finite, got {float(std)}" in err
+        assert not model.exists()
+
     def test_tr_init(self, capsys, tmp_path):
         model = str(tmp_path / "m.tte")
         code, _, _ = run_cli(
@@ -334,6 +347,16 @@ class TestChecks:
         assert set(kv) == {"rank_1", "rank_4"}
         assert "var=" in kv["rank_1"]
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "-1"])
+    def test_initstats_rejects_a_sigma_outside_zero_to_inf(self, capsys, sigma):
+        code, out, err = run_cli(
+            capsys, "initstats", "--vocab", "16", "--dim", "16", "--n", "2",
+            "--ranks", "1,2", "--draws", "2", "--sigma", sigma,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--sigma must be positive and finite, got {float(sigma)}" in err
+
 
 class TestTable:
     def test_porcelain_rows(self, capsys):
@@ -453,3 +476,27 @@ class TestTrainDemo:
         code, out, _ = run_cli(capsys, "--porcelain", "train-demo", "--config", cfg)
         assert code == 0
         assert "heldout_accuracy" in porcelain(out)
+
+    def test_divergence_is_one_error_line(self, capsys, tmp_path):
+        # the suite turns warnings into errors, so a numpy overflow warning fails this too
+        cfg = self.write_config(tmp_path, vocab=16, dim=16, n=2, ranks=2, steps=50, lr=1e12)
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(rf"ttembed: error: {re.escape(cfg)}: non-finite loss at step \d+\n", err)
+
+    @pytest.mark.parametrize("kv, why", [
+        (dict(vocab=16, dim=7), "embedding dim 7 does not factor into 3 parts >= 2"),
+        (dict(task="toy-classify", vocab=1, dim=4, n=1, ranks=1),
+         "toy-classify needs a vocabulary of at least 2"),
+        (dict(vocab=16, dim=16, n=2, kind="lowrank", init_std="nan"),
+         "init_std must be positive and finite, got nan"),
+        (dict(vocab=16, dim=16, n=2, kind="tt", init_std="inf"),
+         "init_std must be positive and finite, got inf"),
+    ])
+    def test_plan_config_and_task_errors_name_the_file(self, capsys, tmp_path, kv, why):
+        cfg = self.write_config(tmp_path, steps=2, **kv)
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == f"ttembed: error: {cfg}: {why}\n"

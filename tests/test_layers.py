@@ -373,6 +373,11 @@ class TestLowRank:
         layer = random_lowrank(10, 6, 3, 1.0, 4)
         assert layer.parameter_count() == 10 * 3 + 6 * 3
 
+    @pytest.mark.parametrize("std", [np.inf, np.nan, 0.0, -1.0])
+    def test_std_must_be_positive_and_finite(self, std):
+        with pytest.raises(ValueError, match=f"^std must be positive and finite, got {std}$"):
+            random_lowrank(10, 6, 3, std, 4)
+
 
 def fresh_grads(layer, idx, upstream):
     """Gradients from a layer over the same weights that has run no

@@ -47,6 +47,15 @@ class TestConfig:
         cfg = TrainConfig(plan=SMALL, steps=np.int64(3), seed=np.uint8(4))
         assert (type(cfg.steps), type(cfg.seed)) == (int, int)
 
+    @pytest.mark.parametrize("kind, std", [
+        ("lowrank", np.nan), ("tt", np.inf), ("tr", 0.0), ("dense", -0.5),
+    ])
+    def test_rejects_an_init_std_outside_zero_to_inf(self, kind, std):
+        # a NaN lowrank std used to diverge at step 0, an inf tt std to fail
+        # as "core 0 contains non-finite entries"
+        with pytest.raises(ValueError, match=f"^init_std must be positive and finite, got {std}$"):
+            TrainConfig(plan=SMALL, kind=kind, init_std=std)
+
     @pytest.mark.parametrize("name", ["ring_rank", "lowrank_dim"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_rejects_rank_below_one(self, name, value):
@@ -82,6 +91,10 @@ class TestMatrixFit:
         b = run_matrix_fit(cfg)
         assert a.losses == b.losses
         assert a.final_checksum == b.final_checksum
+
+    def test_whole_trace_reproducible(self):
+        cfg = TrainConfig(plan=SMALL, steps=20, batch=4, lr=0.05, seed=2, kind="tr")
+        assert run(cfg) == run(cfg)
 
     def test_seed_changes_trace(self):
         a = run_matrix_fit(TrainConfig(plan=SMALL, steps=10, seed=3))
@@ -125,6 +138,11 @@ class TestToyClassify:
         b = run_toy_classify(cfg)
         assert a.losses == b.losses
         assert a.final_checksum == b.final_checksum
+
+    def test_whole_trace_reproducible(self):
+        plan = plan_embedding(16, 8, 2, 2)
+        cfg = TrainConfig(plan=plan, task="toy-classify", steps=30, batch=8, lr=0.3, seed=1)
+        assert run(cfg) == run(cfg)
 
     def test_large_margins_do_not_overflow(self):
         # at lr 50 the margins y*z pass 709, where exp(y*z) overflows

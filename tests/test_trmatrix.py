@@ -104,6 +104,12 @@ class TestRandomAndStats:
         with pytest.raises(ValueError):
             random_tr(plan, 2, -1.0, 0)
 
+    @pytest.mark.parametrize("std", [np.inf, np.nan])
+    def test_std_must_be_finite(self, std):
+        plan = FactorizationPlan((2, 2), (2, 2), 4, (2,))
+        with pytest.raises(ValueError, match=f"^std must be positive and finite, got {std}$"):
+            random_tr(plan, 2, std, 0)
+
     def test_param_count(self):
         plan = FactorizationPlan((2, 2), (2, 2), 4, (2,))
         s = random_tr(plan, 3, 1.0, 0).stats()

@@ -653,6 +653,12 @@ class TestRandomInit:
         with pytest.raises(ValueError):
             random_tt(plan, 0.0, 0)
 
+    @pytest.mark.parametrize("std", [np.inf, np.nan])
+    def test_std_must_be_finite(self, std):
+        plan = FactorizationPlan((3, 3), (3, 3), 9, (2,))
+        with pytest.raises(ValueError, match=f"^std must be positive and finite, got {std}$"):
+            random_tt(plan, std, 0)
+
     def test_unit_std_entry_variance_is_rank_product(self):
         plan = FactorizationPlan((5, 5, 5, 5), (5, 5, 5, 5), 625, (4, 4, 4))
         vals = np.concatenate(
@@ -674,6 +680,12 @@ class TestGlorot:
         plan = FactorizationPlan((1000,), (64,), 1000, ())
         m = glorot_tt(plan, 0, std=0.5)
         assert abs(m.cores[0].std() - 0.5) / 0.5 < 0.02
+
+    @pytest.mark.parametrize("std", [np.inf, np.nan, 0.0])
+    def test_std_must_be_positive_and_finite(self, std):
+        plan = FactorizationPlan((3, 3), (3, 3), 9, (2,))
+        with pytest.raises(ValueError, match=f"^std must be positive and finite, got {std}$"):
+            glorot_tt(plan, 0, std=std)
 
     def test_default_target_is_glorot(self):
         plan = FactorizationPlan((8, 8), (8, 8), 64, (4,))
