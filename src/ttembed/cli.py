@@ -10,8 +10,9 @@ Each subcommand is declared once, in ``_build_parser``, where
 returns the exit code.  Options that several subcommands share are
 declared once, as parent parsers: ``--in`` (compress, reconstruct,
 lookup, stats, gradcheck) and ``--vocab/--dim/--n`` (init, rankcheck,
-initstats, table).  A flag value out of range, such as a negative
-``--seed`` or an infinite ``--std``, is a data error (exit 2) that
+initstats, table).  A flag value that does not parse, such as
+``--ranks 2,x``, or is out of range, such as a negative ``--seed``, a
+rank below 1 or an infinite ``--std``, is a data error (exit 2) that
 names the flag; a train-demo config error, divergence included, is one
 that names the config file.
 """
@@ -55,19 +56,39 @@ def _kv(args, key, value):
 
 
 def _at_least(flag: str, value: int, low: int) -> None:
-    """A flag value below `low` is a data error (exit 2), named by its flag."""
+    """A value below `low` is a data error (exit 2), named by its flag or
+    train-demo config key."""
     if value < low:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
-def _parse_ranks(text: str):
-    """Comma-separated ranks; a single value is an int, shared by every bond."""
-    ranks = tuple(int(r) for r in text.split(","))
+def _named(name: str, make, *args):
+    """make(*args), a ValueError it raises prefixed with `name`: the flag
+    or train-demo config key its value came from."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _parse_int_list(name: str, text: str) -> list:
+    """Comma-separated integers; a bad entry is an error named by `name`."""
+    return _named(name, lambda: [int(v) for v in text.split(",")])
+
+
+def _parse_rank_list(name: str, text: str) -> list:
+    """Comma-separated ranks, each >= 1."""
+    ranks = _parse_int_list(name, text)
+    for r in ranks:
+        _at_least(name, r, 1)
+    return ranks
+
+
+def _parse_ranks(name: str, text: str):
+    """Comma-separated ranks, each >= 1; a single value is an int, shared by
+    every bond."""
+    ranks = tuple(_parse_rank_list(name, text))
     return ranks if len(ranks) > 1 else ranks[0]
-
-
-def _parse_int_list(text: str):
-    return [int(v) for v in text.split(",")]
 
 
 def _load_config(path: str) -> dict:
@@ -97,8 +118,11 @@ def _cmd_init(args) -> int:
     _at_least("--seed", args.seed, 0)
     if args.std is not None:
         _positive_finite(args.std, "--std")
-    plan = plan_embedding(args.vocab, args.dim, args.n, _parse_ranks(args.ranks))
-    m = training._weights(plan, args.kind, args.seed, args.std, args.ring_rank)
+    if args.kind == "tr":
+        _at_least("--ring-rank", args.ring_rank, 1)
+    plan = plan_embedding(args.vocab, args.dim, args.n, _parse_ranks("--ranks", args.ranks))
+    # every other flag is checked by now: what can still fail is the std's scale
+    m = _named("--std", training._weights, plan, args.kind, args.seed, args.std, args.ring_rank)
     save_tt(args.out, m)
     _kv(args, "written", args.out)
     _kv(args, "parameters", m.stats().tt_params)
@@ -108,7 +132,7 @@ def _cmd_init(args) -> int:
 def _cmd_compress(args) -> int:
     dense = load_dmat(args.infile)
     vocab, dim = dense.shape
-    plan = plan_embedding(vocab, dim, args.n, _parse_ranks(args.ranks))
+    plan = plan_embedding(vocab, dim, args.n, _parse_ranks("--ranks", args.ranks))
     if plan.padded_rows > vocab:
         dense = np.vstack([dense, np.zeros((plan.padded_rows - vocab, dim))])
     m = tt_svd(dense, plan)
@@ -129,7 +153,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_lookup(args) -> int:
     m = load_tt(args.infile)
     layer = TTEmbedding(m)
-    rows = layer.forward(_parse_int_list(args.indices))
+    rows = layer.forward(_parse_int_list("--indices", args.indices))
     for row in rows:
         print(" ".join(fmt(v) for v in row))
     return 0
@@ -164,6 +188,8 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_rankcheck(args) -> int:
     _at_least("--seeds", args.seeds, 0)
+    _at_least("--rank", args.rank, 1)
+    _positive_finite(args.tol, "--tol: tol_factor")  # the flag and the library's name for it
     plan = plan_embedding(args.vocab, args.dim, args.n, args.rank)
     reports = analysis.check_full_rank(plan, range(args.seeds), args.tol)
     ok = True
@@ -176,16 +202,19 @@ def _cmd_rankcheck(args) -> int:
 
 def _cmd_initstats(args) -> int:
     _positive_finite(args.sigma, "--sigma")
+    _at_least("--draws", args.draws, 1)
     plan = plan_embedding(args.vocab, args.dim, args.n, 1)
-    ladder = _parse_int_list(args.ranks)
-    for r in analysis.init_statistics(plan, ladder, args.draws, sigma=args.sigma):
+    ladder = _parse_rank_list("--ranks", args.ranks)
+    # every other flag is checked by now: what can still fail is sigma's scale
+    reports = _named("--sigma", analysis.init_statistics, plan, ladder, args.draws, args.sigma)
+    for r in reports:
         stats = f"mean={fmt(r.mean)} var={fmt(r.variance)} exkurt={fmt(r.excess_kurtosis)}"
         _kv(args, f"rank_{r.rank}", stats)
     return 0
 
 
 def _cmd_table(args) -> int:
-    ladder = _parse_int_list(args.ranks)
+    ladder = _parse_rank_list("--ranks", args.ranks)
     rows = analysis.compression_table(args.vocab, args.dim, args.n, ladder)
     if args.porcelain:
         for r in rows:
@@ -221,10 +250,7 @@ def _cmd_train_demo(args) -> int:
     raw = {"n": "3", "ranks": "8", **_load_config(args.config)}
 
     def value(key, conv):
-        try:
-            return conv(raw[key])
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
+        return _named(key, conv, raw[key])
 
     try:  # every error past the file's syntax names the file
         unknown = sorted(raw.keys() - {"vocab", "dim", "n", "ranks"} - _TRAIN_KEYS.keys())
@@ -234,7 +260,8 @@ def _cmd_train_demo(args) -> int:
         if missing:
             raise ValueError(f"missing config keys: {', '.join(missing)}")
         plan = plan_embedding(
-            value("vocab", int), value("dim", int), value("n", int), value("ranks", _parse_ranks)
+            value("vocab", int), value("dim", int), value("n", int),
+            _parse_ranks("ranks", raw["ranks"]),
         )
         kwargs = {k: value(k, conv) for k, conv in _TRAIN_KEYS.items() if k in raw}
         with np.errstate(all="ignore"):  # divergence is reported by the error below

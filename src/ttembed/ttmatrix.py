@@ -90,37 +90,22 @@ class Tape:
     checks; a tape a call makes for itself keeps neither.  The slices
     forward gathers and every temporary of row_grads come from `work`, in
     regions whose lifetimes overlap, so backward only reads the buffer.
-    The buffers grow to the largest block seen and the core copies are
-    made again only when the core shapes change, so blocks of a recurring
-    size allocate nothing new."""
+    Both arrays are carved by _carve: they grow to the largest block seen,
+    and the core copies are made again only when the core shapes change,
+    so blocks of a recurring size allocate nothing new."""
 
     def __init__(self):
         self.buffer, self.work, self.cores = np.empty(0), np.empty(0), []
         self.clear()
 
-    def clear(self, entries: int = 0) -> None:
-        """Drop the block and its record; make room for `entries` floats."""
+    def clear(self) -> None:
+        """Drop the block and its record."""
         self.block, self.indices = None, None
-        self._used = 0
-        if entries > self.buffer.size:
-            self.buffer = None  # free the old buffer before the new one is made
-            self.buffer = np.empty(entries)
-
-    def empty(self, shape) -> np.ndarray:
-        """An array carved from the buffer after the last one."""
-        n, start = prod(shape), self._used
-        self._used += n
-        return self.buffer[start : start + n].reshape(shape)
 
     def scratch(self, *entries) -> list:
-        """Flat arrays of these sizes, carved one after another from the
-        start of the workspace, which grows to fit them.  Each call hands
-        out the same memory again, ending the arrays of the last call."""
-        if sum(entries) > self.work.size:
-            self.work = None  # free the old workspace before the new one is made
-            self.work = np.empty(sum(entries))
-        bounds = [0, *accumulate(entries)]
-        return [self.work[s:e] for s, e in zip(bounds, bounds[1:])]
+        """Flat arrays of these sizes carved from the workspace.  Each call
+        hands out the same memory again, ending the arrays of the last call."""
+        return _carve(self, "work", entries)
 
     def record(self, indices, cores) -> None:
         """Note the indices and the cores' values the block was built for."""
@@ -144,6 +129,18 @@ class Tape:
             and len(cores) == len(self.cores)
             and all(np.array_equal(a, b) for a, b in zip(cores, self.cores))
         )
+
+
+def _carve(tape: Tape, name: str, entries) -> list:
+    """Flat arrays of these sizes, carved one after another from the start
+    of the tape's array `name` (its buffer or its workspace).  The array
+    only grows, to fit them, and the old one is freed before the new one
+    is made."""
+    if sum(entries) > getattr(tape, name).size:
+        setattr(tape, name, None)
+        setattr(tape, name, np.empty(sum(entries)))
+    flat, bounds = getattr(tape, name), [0, *accumulate(entries)]
+    return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
 class TTMatrix:
@@ -180,10 +177,10 @@ class TTMatrix:
         return float(np.trace(acc))
 
     def _fill(self, digits, tape: Tape) -> tuple:
-        """Build the rows of these digits as one block in the tape's buffer
-        and workspace, keep it on the tape, and return it: (the digits,
-        their prefixes)."""
-        tape.clear(digits[0].size * sum(self._prefix_entries()))
+        """Clear the tape, build the rows of these digits as one block in
+        its buffer and workspace, keep it on the tape, and return it: (the
+        digits, their prefixes)."""
+        tape.clear()
         tape.block = digits, self._prefixes(digits, tape)
         return tape.block
 
@@ -212,25 +209,27 @@ class TTMatrix:
     def _prefixes(self, digits, tape: Tape) -> list:
         """The products of each row's first k = 0..N-1 slices,
         (B, J_k..J_1 * c, R_k) with J_1 fastest of the J and the closure c
-        next to R_k, carved from the tape's buffer.  Prefix 0 is the
-        identity and prefix 1 is slice 0 itself, gathered in this order.
+        next to R_k.  Prefixes 1..N-1 are carved from the tape's buffer in
+        one call, sized by _prefix_entries().  Prefix 0 is the identity and
+        prefix 1 is slice 0 itself, gathered in this order.
         Slices 1..N-2 and their products are built _block_rows() rows at a
         time in the tape's workspace.  A row's result does not depend on
         the other rows of its block."""
         b, c = digits[0].size, self.ring_rank
+        flats = _carve(tape, "buffer", [b * e for e in self._prefix_entries()])
         out = [np.broadcast_to(np.eye(c), (b, c, c))]
         if len(self.cores) > 1:
             first = np.ascontiguousarray(self.cores[0].transpose(1, 2, 0, 3))  # (I_1, J_1, c, R_1)
             _, j, _, r = first.shape
             # the digits are checked: clip is a no-op
-            acc = np.take(first, digits[0], axis=0, out=tape.empty((b, j, c, r)), mode="clip")
+            acc = np.take(first, digits[0], axis=0, out=flats[0].reshape(b, j, c, r), mode="clip")
             out.append(acc.reshape(b, j * c, r))
         step = self._block_rows()
-        for g, x in zip(self.cores[1:-1], digits[1:-1]):
+        for g, x, flat in zip(self.cores[1:-1], digits[1:-1], flats[1:]):
             acc = out[-1]
             r, _, jk, rk = g.shape
             p = acc.shape[1] // c
-            nxt = tape.empty((b, jk * p * c, rk))
+            nxt = flat.reshape(b, jk * p * c, rk)
             for s in range(0, b, step):
                 xs = x[s : s + step]
                 n = xs.size
@@ -325,8 +324,13 @@ class TTMatrix:
         d prefix_k; core 0 sums by np.add.reduceat.  Each d thus comes out
         in its core's order, and the next core gathers each of its runs
         from it in one copy that also undoes forward's transpose, so dnext
-        is held one run at a time.  Every temporary comes from the tape's
-        workspace, and the tape's buffer is only read.
+        is held one run at a time.  Each gradient is allocated once, as
+        zeros in its core's shape (R', I, J, R), and each digit's product
+        goes straight into its slice [:, i]: in cores 1..N-2 the GEMM
+        writes it there, while the last core's (c R', J) product and core
+        0's (J, c, R) rows are transposed and added on the way in.  Every
+        other temporary comes from the tape's workspace, and the tape's
+        buffer is only read.
 
         It starts from the tape's block when the tape holds these indices
         and the cores' values now, as after rows(indices, tape) on the
@@ -365,7 +369,7 @@ class TTMatrix:
             max([b * cols] + [longest * sizes[k] for k in mids]),
             b * max((prefixes[k].shape[1] * self.cores[k].shape[2] for k in mids), default=0))
         w, wi = (w0, w1), wi.view(np.int64)
-        sums = [np.zeros((g.shape[1], g.size // g.shape[1])) for g in self.cores]
+        grads = [np.zeros(g.shape) for g in self.cores]
 
         r, _, jn, _ = self.cores[-1].shape
         p = prefixes[-1].shape[1] // c
@@ -376,7 +380,8 @@ class TTMatrix:
         d = w0[: b * p * c * r].reshape(b, p, c * r)  # d prefix_{N-1}, overwrites lhs run by run
         rt = self.cores[-1].transpose(1, 2, 3, 0).reshape(-1, jn, c * r)  # (I_N, J_N, c R)
         for i, s, e in zip(vals, bounds, bounds[1:]):
-            sums[-1][i] += (lhs[s * p : e * p].T @ u[s:e].reshape(-1, jn)).ravel()
+            x = lhs[s * p : e * p].T @ u[s:e].reshape(-1, jn)  # (c R, J)
+            grads[-1][:, i] += x.reshape(c, r, jn).transpose(1, 2, 0)
             if n > 1:
                 np.matmul(u[s:e].reshape(-1, jn), rt[i], out=d[s:e].reshape(-1, c * r))
         for k in mids:
@@ -394,22 +399,14 @@ class TTMatrix:
                 dnext = np.take(src, at[s:e].ravel(), axis=0, mode="clip",
                                 out=wr[: (e - s) * pc * jk * rk].reshape(-1, rk))
                 dnext = dnext.reshape(-1, jk * rk)
-                sums[k][i] += (lhs[s * pc : e * pc].T @ dnext).ravel()
+                np.matmul(lhs[s * pc : e * pc].T, dnext, out=grads[k].reshape(a, -1, jk * rk)[:, i])
                 np.matmul(dnext, rt[i], out=d[s:e].reshape(-1, a))
+            grads[k] += 0.0  # a -0.0 product lands as 0.0, as in a sum into zeros
         if n > 1:
             _, vals, bounds = runs[0]
             d = _take_rows(d.reshape(b, sizes[0]), rows[0], w[(n - 1) % 2])
-            sums[0][vals] += np.add.reduceat(d, bounds[:-1])
-        # row i_k of each sum holds its columns in the order the products made them
-        grads = []
-        for k, (x, (a, ik, jk, rk)) in enumerate(zip(sums, (g.shape for g in self.cores))):
-            if k == n - 1:  # (c, R_{N-1}, J_N): the columns of left^T u
-                x = x.reshape(ik, c, a, jk).transpose(2, 0, 3, 1)
-            elif k == 0:  # (J_1, c, R_1): prefix 1's layout
-                x = x.reshape(ik, jk, a, rk).transpose(2, 0, 1, 3)
-            else:
-                x = x.reshape(ik, a, jk, rk).transpose(1, 0, 2, 3)
-            grads.append(x.copy())
+            g0 = grads[0].transpose(1, 2, 0, 3)  # (I_1, J_1, c, R_1): prefix 1's layout
+            g0[vals] += np.add.reduceat(d, bounds[:-1]).reshape(-1, *g0.shape[1:])
         return grads
 
     def materialize(self) -> np.ndarray:
@@ -575,8 +572,12 @@ def glorot_tt(plan: FactorizationPlan, seed: int, std: float | None = None) -> T
     if std is None:
         std = float(np.sqrt(2.0 / (plan.padded_rows + plan.cols)))
     _positive_finite(std, "std")
+    try:
+        variance = std**2
+    except OverflowError:  # std above about 1.3e154
+        raise ValueError(f"std must have a finite square, got {std}") from None
     big_sigma_sq = float(prod(plan.ranks))
-    core_std = (std**2 / big_sigma_sq) ** (1.0 / (2 * plan.n_cores))
+    core_std = (variance / big_sigma_sq) ** (1.0 / (2 * plan.n_cores))
     return random_tt(plan, core_std, seed)
 
 

@@ -201,6 +201,17 @@ class TestInitStatsLookup:
         assert f"--std must be positive and finite, got {float(std)}" in err
         assert not model.exists()
 
+    def test_init_names_a_std_whose_square_overflows(self, capsys, tmp_path):
+        model = tmp_path / "m.tte"
+        code, out, err = run_cli(
+            capsys, "init", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "2",
+            "--std", "1e200", "--out", str(model),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "ttembed: error: --std: std must have a finite square, got 1e+200\n"
+        assert not model.exists()
+
     def test_tr_init(self, capsys, tmp_path):
         model = str(tmp_path / "m.tte")
         code, _, _ = run_cli(
@@ -357,6 +368,44 @@ class TestChecks:
         assert out == ""
         assert f"--sigma must be positive and finite, got {float(sigma)}" in err
 
+    def test_initstats_names_a_sigma_whose_square_overflows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "initstats", "--vocab", "16", "--dim", "16", "--n", "2",
+            "--ranks", "1,2", "--draws", "2", "--sigma", "1e200",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "ttembed: error: --sigma: std must have a finite square, got 1e+200\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["init", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "2,x",
+                  "--out", "{out}"], "--ranks", id="init-ranks"),
+    pytest.param(["compress", "--in", "{dmat}", "--n", "2", "--ranks", "2,x", "--out", "{out}"],
+                 "--ranks", id="compress-ranks"),
+    pytest.param(["lookup", "--in", "{model}", "--indices", "1,x"], "--indices",
+                 id="lookup-indices"),
+    pytest.param(["initstats", "--vocab", "16", "--dim", "16", "--n", "2", "--draws", "0"],
+                 "--draws", id="initstats-draws"),
+    pytest.param(["rankcheck", "--vocab", "16", "--dim", "16", "--n", "2", "--rank", "2",
+                  "--tol", "-1"], "--tol", id="rankcheck-tol"),
+    pytest.param(["init", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "2",
+                  "--kind", "tr", "--ring-rank", "0", "--out", "{out}"], "--ring-rank",
+                 id="init-ring-rank"),
+    pytest.param(["table", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "0"],
+                 "--ranks", id="table-ranks"),
+])
+def test_a_flag_error_names_its_flag(capsys, tmp_path, argv, flag):
+    paths = {"dmat": tmp_path / "t.dmat", "model": tmp_path / "m.tte", "out": tmp_path / "o.tte"}
+    save_dmat(paths["dmat"], np.ones((16, 16)))
+    assert run_cli(capsys, "init", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "2",
+                   "--out", str(paths["model"]))[0] == 0
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ttembed: error: {flag}")
+    assert not paths["out"].exists()
+
 
 class TestTable:
     def test_porcelain_rows(self, capsys):
@@ -467,6 +516,13 @@ class TestTrainDemo:
         assert code == 2
         assert out == ""
         assert f"{cfg}: seed must be >= 0, got -1" in err
+
+    def test_an_init_std_whose_square_overflows_names_the_file(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, vocab=16, dim=16, n=2, steps=2, init_std="1e200")
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == f"ttembed: error: {cfg}: std must have a finite square, got 1e+200\n"
 
     def test_toy_classify(self, capsys, tmp_path):
         cfg = self.write_config(

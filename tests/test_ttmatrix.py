@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,17 @@ class TestHalfDispatch:
         ring = random_tr(plan_embedding(512, 512, 3, 16), 4, 0.1, 0)
         assert half_split(ring, 40) == 0
         assert half_split(ring, 512) == 0  # materialize of the ring
+
+    def test_bench_materialize_splits(self):
+        """The kernel each bench workload's materialize() takes over all its
+        padded rows, so a dispatch change cannot silently move a checksum."""
+        compress = random_tt(plan_embedding(512, 512, 3, 16), 1.0, 0)
+        train = glorot_tt(plan_embedding(25000, 256, 3, 16), seed=0)
+        lookup = glorot_tt(plan_embedding(100000, 64, 4, 8), seed=0)
+        assert [m.plan.padded_rows for m in (compress, train, lookup)] == [512, 27000, 104976]
+        assert half_split(compress, 512) == 1
+        assert half_split(train, 27000) == 2
+        assert half_split(lookup, 104976) == 2
 
     def test_tables_stay_within_the_result(self):
         models = [
@@ -347,6 +359,31 @@ def test_rows_without_a_tape_match_a_taped_call(plan, ring, monkeypatch):
         assert len(decodes) == 1
         assert blocks == [rows] * (14 // rows) + [14 % rows] * (14 % rows > 0)
         assert m.rows(idx, ttmatrix.Tape()).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ring", [1, 3])
+def test_a_steady_row_grads_holds_each_gradient_once(ring, monkeypatch):
+    """A warm row_grads from a tape allocates little beyond the gradients
+    it returns: each is summed straight into an array of its core's shape,
+    not into a second layout that is then copied."""
+    monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+    plan = FactorizationPlan((8, 8, 8), (16, 16, 2), 512, (32, 32))
+    m = random_tt(plan, 0.9, 46) if ring == 1 else random_tr(plan, ring, 0.9, 46)
+    idx = np.array([5, 300])
+    up = np.random.default_rng(47).standard_normal((idx.size, plan.cols))
+    tape = ttmatrix.Tape()
+    m.rows(idx, tape)
+    for _ in range(2):  # warm-up
+        m.row_grads(idx, up, tape)
+    tracemalloc.start()
+    try:
+        m.row_grads(idx, up, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cores = sum(c.nbytes for c in m.cores)
+    assert cores > 1 << 20  # the gradients dwarf numpy's fixed-size buffers
+    assert peak < 1.5 * cores
 
 
 class TestMaterialize:
@@ -686,6 +723,14 @@ class TestGlorot:
         plan = FactorizationPlan((3, 3), (3, 3), 9, (2,))
         with pytest.raises(ValueError, match=f"^std must be positive and finite, got {std}$"):
             glorot_tt(plan, 0, std=std)
+
+    def test_std_whose_square_overflows_is_named(self):
+        plan = FactorizationPlan((3, 3), (3, 3), 9, (2,))
+        with pytest.raises(ValueError, match=r"^std must have a finite square, got 1e\+200$"):
+            glorot_tt(plan, 0, std=1e200)
+        # just inside the range the formula is unchanged
+        want = random_tt(plan, (1e150**2 / 2.0) ** 0.25, 0)
+        assert same_bits(glorot_tt(plan, 0, 1e150).cores, want.cores)
 
     def test_default_target_is_glorot(self):
         plan = FactorizationPlan((8, 8), (8, 8), 64, (4,))
