@@ -177,7 +177,8 @@ def factorize_balanced(size: int, n: int, allow_padding: bool = False) -> tuple:
     if n == 1:
         return (size,)
     hi = math.ceil(size * (1 + PAD_SLACK)) if allow_padding else size
-    best = _search(size, hi, n)
+    # n factors >= 2 need 2 ** n <= hi; a larger n is refused before any root
+    best = _search(size, hi, n) if n < hi.bit_length() else None
     if best is None:
         what = f"[{size}, {hi}]" if allow_padding else str(size)
         raise ShapeError(f"no {n}-way factorization with factors >= 2 in {what}")

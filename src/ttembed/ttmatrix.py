@@ -24,7 +24,7 @@ DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "TTEMBED_MATERIALIZE_CAP"
 TT_SVD_TRUNCATION_TOL = 1e-12
 # entries of the largest array of a block of a call without a tape, or of
-# a chunk of the slices and products forward builds in the workspace
+# a chunk of the slices forward gathers in the workspace
 KERNEL_BLOCK = 1 << 17
 
 
@@ -87,8 +87,9 @@ class Tape:
     `buffer` (None after a half-kernel call, which builds none).  When the
     caller handed the tape in, `indices` and `cores` also hold copies of
     the indices and core values the block was built for, which row_grads
-    checks; a tape a call makes for itself keeps neither.  The slices
-    forward gathers and every temporary of row_grads come from `work`, in
+    checks; a tape a call makes for itself keeps neither.  Forward's
+    copies of the middle cores and the slices it gathers, and every
+    temporary of row_grads, come from `work`, in
     regions whose lifetimes overlap, so backward only reads the buffer.
     Both arrays are carved by _carve: they grow to the largest block seen,
     and the core copies are made again only when the core shapes change,
@@ -203,7 +204,7 @@ class TTMatrix:
     def _block_rows(self) -> int:
         """Rows whose largest per-row array, one of _row_entries(), fits in
         KERNEL_BLOCK entries: a block of a call without a tape, and a chunk
-        of the slices and products a block builds in the workspace."""
+        of the slices a block gathers in the workspace."""
         return max(1, KERNEL_BLOCK // max(self._row_entries()))
 
     def _prefixes(self, digits, tape: Tape) -> list:
@@ -212,9 +213,16 @@ class TTMatrix:
         next to R_k.  Prefixes 1..N-1 are carved from the tape's buffer in
         one call, sized by _prefix_entries().  Prefix 0 is the identity and
         prefix 1 is slice 0 itself, gathered in this order.
-        Slices 1..N-2 and their products are built _block_rows() rows at a
-        time in the tape's workspace.  A row's result does not depend on
-        the other rows of its block."""
+        Each middle core k is copied into the tape's workspace as
+        (I_k, J_k, R_{k-1}, R_k); _block_rows() rows at a time gather their
+        slices from it there, and one broadcast batched matmul,
+        prefix_k[rows, None] @ slices, writes their products straight into
+        prefix k+1, viewed as (B, J_k, P c, R_k): the product's layout.
+        When R_k = 1 it runs as slices @ prefix_k^T instead, since numpy
+        would send a one-column product to gemv, which sums in another
+        order; either way each entry is the dot over R_{k-1} that one GEMM
+        per row gives, with the same bits.  A row's result does not depend
+        on the other rows of its block."""
         b, c = digits[0].size, self.ring_rank
         flats = _carve(tape, "buffer", [b * e for e in self._prefix_entries()])
         out = [np.broadcast_to(np.eye(c), (b, c, c))]
@@ -227,19 +235,21 @@ class TTMatrix:
         step = self._block_rows()
         for g, x, flat in zip(self.cores[1:-1], digits[1:-1], flats[1:]):
             acc = out[-1]
-            r, _, jk, rk = g.shape
-            p = acc.shape[1] // c
-            nxt = flat.reshape(b, jk * p * c, rk)
+            r, ik, jk, rk = g.shape
+            nxt = flat.reshape(b, jk, acc.shape[1], rk)
+            gt, sl = tape.scratch(g.size, min(b, step) * g.size // ik)
+            gt = gt.reshape(ik, jk, r, rk)
+            np.copyto(gt, g.transpose(1, 2, 0, 3))
             for s in range(0, b, step):
                 xs = x[s : s + step]
-                n = xs.size
-                sl, mul = tape.scratch(n * r * jk * rk, n * p * c * jk * rk)
-                sl = np.take(g, xs, axis=1, out=sl.reshape(r, n, jk, rk), mode="clip")
-                sl = sl.transpose(1, 0, 2, 3).reshape(n, r, jk * rk)
-                mul = np.matmul(acc[s : s + step], sl, out=mul.reshape(n, p * c, jk * rk))
-                nxt[s : s + step].reshape(n, jk, p, c, rk)[...] = (
-                    mul.reshape(n, p, c, jk, rk).transpose(0, 3, 1, 2, 4))
-            out.append(nxt)
+                sls = np.take(gt, xs, axis=0, out=sl[: xs.size * g.size // ik].reshape(-1, jk, r, rk),
+                              mode="clip")
+                if rk > 1:
+                    np.matmul(acc[s : s + step, None], sls, out=nxt[s : s + step])
+                else:  # (J_k, R) @ (R, P c): a one-column product would take gemv
+                    np.matmul(sls[..., 0], acc[s : s + step].transpose(0, 2, 1),
+                              out=nxt[s : s + step, ..., 0])
+            out.append(nxt.reshape(b, jk * acc.shape[1], rk))
         return out
 
     def rows(self, indices, tape: "Tape | None" = None) -> np.ndarray:
@@ -325,12 +335,14 @@ class TTMatrix:
         in its core's order, and the next core gathers each of its runs
         from it in one copy that also undoes forward's transpose, so dnext
         is held one run at a time.  Each gradient is allocated once, as
-        zeros in its core's shape (R', I, J, R), and each digit's product
-        goes straight into its slice [:, i]: in cores 1..N-2 the GEMM
-        writes it there, while the last core's (c R', J) product and core
-        0's (J, c, R) rows are transposed and added on the way in.  Every
-        other temporary comes from the tape's workspace, and the tape's
-        buffer is only read.
+        zeros in its core's shape (R', I, J, R).  In cores 1..N-2 each
+        digit's GEMM writes its product straight into the slice [:, i].
+        The last core's GEMMs write their (c R', J) products into one
+        zeroed (I_N, c R', J) region of the workspace, which one transposed
+        add puts into the gradient, and core 0's (J, c, R) rows are
+        transposed and added on the way in; adding into zeros makes a -0.0
+        product land as 0.0.  Every other temporary comes from the tape's
+        workspace, and the tape's buffer is only read.
 
         It starts from the tape's block when the tape holds these indices
         and the cores' values now, as after rows(indices, tape) on the
@@ -364,10 +376,12 @@ class TTMatrix:
         # w[0] and w[1] take turns holding d and the sorted lhs it overwrites
         # (w[0] first a sorted upstream, the last one core 0's rows); wr
         # holds u, then one run of dnext at a time; wi the gather index
-        w0, w1, wr, wi = tape.scratch(
+        # wl holds the last core's products, (I_N, c R, J), one per digit
+        w0, w1, wr, wi, wl = tape.scratch(
             b * max([c * c, cols] + sizes), b * max(sizes[:-1] + sizes[:1], default=0),
             max([b * cols] + [longest * sizes[k] for k in mids]),
-            b * max((prefixes[k].shape[1] * self.cores[k].shape[2] for k in mids), default=0))
+            b * max((prefixes[k].shape[1] * self.cores[k].shape[2] for k in mids), default=0),
+            self.cores[-1].size)
         w, wi = (w0, w1), wi.view(np.int64)
         grads = [np.zeros(g.shape) for g in self.cores]
 
@@ -379,11 +393,13 @@ class TTMatrix:
         lhs = _take_rows(prefixes[-1].reshape(b, p, c * r), order, w0).reshape(-1, c * r)
         d = w0[: b * p * c * r].reshape(b, p, c * r)  # d prefix_{N-1}, overwrites lhs run by run
         rt = self.cores[-1].transpose(1, 2, 3, 0).reshape(-1, jn, c * r)  # (I_N, J_N, c R)
+        wl = wl.reshape(-1, c * r, jn)
+        wl.fill(0.0)
         for i, s, e in zip(vals, bounds, bounds[1:]):
-            x = lhs[s * p : e * p].T @ u[s:e].reshape(-1, jn)  # (c R, J)
-            grads[-1][:, i] += x.reshape(c, r, jn).transpose(1, 2, 0)
+            np.matmul(lhs[s * p : e * p].T, u[s:e].reshape(-1, jn), out=wl[i])
             if n > 1:
                 np.matmul(u[s:e].reshape(-1, jn), rt[i], out=d[s:e].reshape(-1, c * r))
+        grads[-1] += wl.reshape(-1, c, r, jn).transpose(2, 0, 3, 1)
         for k in mids:
             g = self.cores[k]
             a, _, jk, rk = g.shape
@@ -578,6 +594,8 @@ def glorot_tt(plan: FactorizationPlan, seed: int, std: float | None = None) -> T
         raise ValueError(f"std must have a finite square, got {std}") from None
     big_sigma_sq = float(prod(plan.ranks))
     core_std = (variance / big_sigma_sq) ** (1.0 / (2 * plan.n_cores))
+    if core_std == 0.0:  # std below about 1e-162: the variance underflows
+        raise ValueError(f"std must have a per-core std above 0.0, got {std}")
     return random_tt(plan, core_std, seed)
 
 

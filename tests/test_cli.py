@@ -176,6 +176,17 @@ class TestInitStatsLookup:
         code, _, err = run_cli(capsys, "lookup", "--in", model, "--indices", "60")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "big", ["9223372036854775808", "99999999999999999999999", "-99999999999999999999999"])
+    def test_lookup_names_an_index_past_int64(self, capsys, tmp_path, big):
+        model = str(tmp_path / "m.tte")
+        run_cli(capsys, "init", "--vocab", "60", "--dim", "16", "--n", "2",
+                "--ranks", "2", "--out", model)
+        code, out, err = run_cli(capsys, "lookup", "--in", model, "--indices", f"1,{big}")
+        assert code == 2
+        assert out == ""
+        assert err == f"ttembed: error: index {big} outside vocabulary [0, 60)\n"
+
     @pytest.mark.parametrize("kind", ["tt", "tr"])
     def test_init_rejects_a_negative_seed(self, capsys, tmp_path, kind):
         model = tmp_path / "m.tte"
@@ -210,6 +221,17 @@ class TestInitStatsLookup:
         assert code == 2
         assert out == ""
         assert err == "ttembed: error: --std: std must have a finite square, got 1e+200\n"
+        assert not model.exists()
+
+    def test_init_names_a_std_whose_core_std_underflows(self, capsys, tmp_path):
+        model = tmp_path / "m.tte"
+        code, out, err = run_cli(
+            capsys, "init", "--vocab", "16", "--dim", "16", "--n", "2", "--ranks", "2",
+            "--std", "1e-170", "--out", str(model),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "ttembed: error: --std: std must have a per-core std above 0.0, got 1e-170\n"
         assert not model.exists()
 
     def test_tr_init(self, capsys, tmp_path):
@@ -523,6 +545,13 @@ class TestTrainDemo:
         assert code == 2
         assert out == ""
         assert err == f"ttembed: error: {cfg}: std must have a finite square, got 1e+200\n"
+
+    def test_an_init_std_whose_core_std_underflows_names_the_file(self, capsys, tmp_path):
+        cfg = self.write_config(tmp_path, vocab=16, dim=16, n=2, steps=2, init_std="1e-170")
+        code, out, err = run_cli(capsys, "train-demo", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert err == f"ttembed: error: {cfg}: std must have a per-core std above 0.0, got 1e-170\n"
 
     def test_toy_classify(self, capsys, tmp_path):
         cfg = self.write_config(

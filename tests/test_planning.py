@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +148,35 @@ def test_huge_square_factors_exactly(allow_padding):
 def test_more_cores_than_the_recursion_limit(allow_padding):
     # the search walks one prefix per factor: 1100 factors of 2 must not recurse 1100 deep
     assert factorize_balanced(2**1100, 1100, allow_padding=allow_padding) == (2,) * 1100
+
+
+@pytest.mark.parametrize("call", [
+    "factorize_balanced(16, 10**10)",
+    "factorize_balanced(16, 10**10, allow_padding=True)",
+    "plan_embedding(16, 16, 10**10, 2)",
+])
+def test_a_huge_n_is_refused_at_once(call):
+    """n factors >= 2 need 2 ** n within the allowed products, so a huge n
+    raises ShapeError before any root is taken.  The call runs in a child
+    process whose address space is capped at 1 GiB and which is stopped
+    after 10 s, so a search that hangs fails this test, not the machine."""
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ttembed.linalg import ShapeError\n"
+        "from ttembed.planning import factorize_balanced, plan_embedding\n"
+        "t0 = time.perf_counter()\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ShapeError:\n"
+        "    print(time.perf_counter() - t0)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=10)
+    assert child.returncode == 0, child.stderr
+    assert float(child.stdout) < 1.0
 
 
 @pytest.mark.parametrize("size", [2**53 + 1, 10**60])

@@ -386,6 +386,66 @@ def test_a_steady_row_grads_holds_each_gradient_once(ring, monkeypatch):
     assert peak < 1.5 * cores
 
 
+def reference_prefixes(self, digits, tape):
+    """TTMatrix._prefixes as it was before the products landed in place:
+    each middle core's slices gathered along its axis 1, one batched
+    matmul into scratch, and a transposing copy into the next prefix."""
+    b, c = digits[0].size, self.ring_rank
+    flats = ttmatrix._carve(tape, "buffer", [b * e for e in self._prefix_entries()])
+    out = [np.broadcast_to(np.eye(c), (b, c, c))]
+    if len(self.cores) > 1:
+        first = np.ascontiguousarray(self.cores[0].transpose(1, 2, 0, 3))
+        _, j, _, r = first.shape
+        acc = np.take(first, digits[0], axis=0, out=flats[0].reshape(b, j, c, r), mode="clip")
+        out.append(acc.reshape(b, j * c, r))
+    step = self._block_rows()
+    for g, x, flat in zip(self.cores[1:-1], digits[1:-1], flats[1:]):
+        acc = out[-1]
+        r, _, jk, rk = g.shape
+        p = acc.shape[1] // c
+        nxt = flat.reshape(b, jk * p * c, rk)
+        for s in range(0, b, step):
+            xs = x[s : s + step]
+            n = xs.size
+            sl, mul = tape.scratch(n * r * jk * rk, n * p * c * jk * rk)
+            sl = np.take(g, xs, axis=1, out=sl.reshape(r, n, jk, rk), mode="clip")
+            sl = sl.transpose(1, 0, 2, 3).reshape(n, r, jk * rk)
+            mul = np.matmul(acc[s : s + step], sl, out=mul.reshape(n, p * c, jk * rk))
+            nxt[s : s + step].reshape(n, jk, p, c, rk)[...] = (
+                mul.reshape(n, p, c, jk, rk).transpose(0, 3, 1, 2, 4))
+        out.append(nxt)
+    return out
+
+
+@pytest.mark.parametrize("ring", [1, 3])
+@pytest.mark.parametrize("plan", [
+    FactorizationPlan((3, 4), (2, 3), 12, (3,)),
+    RULE_PLAN,
+    FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 1)),  # a rank-1 bond after a middle core
+    FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2)),
+    FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (3, 1, 2)),
+], ids=["n2", "n3", "n3-rank1", "n4", "n4-rank1"])
+@pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
+def test_chain_kernel_matches_the_reference_prefixes(plan, ring, order, monkeypatch):
+    """rows and row_grads, with and without a tape and in several blocks,
+    give the bytes they give on the reference prefixes."""
+    monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
+    m = random_tt(plan, 0.9, 48) if ring == 1 else random_tr(plan, ring, 0.9, 48)
+    monkeypatch.setattr(ttmatrix, "KERNEL_BLOCK", 3 * max(m._row_entries()))  # blocks of 3 rows
+    rng = np.random.default_rng(49)
+    idx = {"sorted": np.arange(plan.padded_rows), "unsorted": rng.permutation(plan.padded_rows),
+           "repeated": rng.integers(plan.padded_rows, size=20)}[order]
+    up = rng.standard_normal((idx.size, plan.cols))
+
+    def outputs():
+        tape = ttmatrix.Tape()
+        return [m.rows(idx), m.rows(idx, tape), *m.row_grads(idx, up, tape), *m.row_grads(idx, up)]
+
+    got = outputs()
+    monkeypatch.setattr(ttmatrix.TTMatrix, "_prefixes", reference_prefixes)
+    assert same_bits(got, outputs())
+
+
 class TestMaterialize:
     def test_identity_construction(self):
         plan = FactorizationPlan((3, 3), (3, 3), 9, (1,))
@@ -731,6 +791,14 @@ class TestGlorot:
         # just inside the range the formula is unchanged
         want = random_tt(plan, (1e150**2 / 2.0) ** 0.25, 0)
         assert same_bits(glorot_tt(plan, 0, 1e150).cores, want.cores)
+
+    def test_std_whose_core_std_underflows_is_named(self):
+        plan = FactorizationPlan((3, 3), (3, 3), 9, (2,))
+        with pytest.raises(ValueError, match=r"^std must have a per-core std above 0.0, got 1e-170$"):
+            glorot_tt(plan, 0, std=1e-170)
+        # just inside the range the formula is unchanged
+        want = random_tt(plan, (1e-150**2 / 2.0) ** 0.25, 0)
+        assert same_bits(glorot_tt(plan, 0, 1e-150).cores, want.cores)
 
     def test_default_target_is_glorot(self):
         plan = FactorizationPlan((8, 8), (8, 8), 64, (4,))
