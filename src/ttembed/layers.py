@@ -18,9 +18,7 @@ temporary.  backward hands the same tape to row_grads, which starts
 from it only when it holds these distinct rows and the cores' values
 now, and otherwise recomputes, with bitwise the same result
 (TTMatrix.row_grads owns that rule), whatever wrote to the cores in
-between.  forward also keeps a copy of its checked indices with their
-distinct rows and inverse, which backward of an equal index array
-reuses, so a training step deduplicates its batch once.
+between.
 
 LowRankEmbedding is the U V^T baseline the TT layer is compared against.
 """
@@ -30,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import ShapeError
-from .planning import _as_int, _positive_finite
+from .planning import _as_int, _as_int_array, _positive_finite
 from .ttmatrix import Tape, TTMatrix
 
 
@@ -38,34 +36,24 @@ class _Layer:
     """Checks and the SGD step shared by the embedding layers."""
 
     def _check_indices(self, indices) -> np.ndarray:
-        """The indices as a flat int64 array.  A non-integer raises a
-        TypeError; an index outside [0, vocab) raises an IndexError naming
-        it, one past int64 too."""
-        idx = np.ravel(indices)
-        if idx.size and not np.issubdtype(idx.dtype, np.integer):
-            # numpy keeps an integer past int64 as a Python int in an object
-            # array, or turns it into a float next to a negative one
-            ints = np.ravel(np.array(indices, dtype=object))
-            if not all(type(v) is int for v in ints):
-                raise TypeError(f"indices of dtype {idx.dtype} are not integers")
-            idx = ints
-        if idx.size and (idx.min() < 0 or idx.max() >= self.vocab):
-            bad = idx[(idx < 0) | (idx >= self.vocab)][0]
-            raise IndexError(f"index {bad} outside vocabulary [0, {self.vocab})")
-        return idx.astype(np.int64, copy=False)
+        idx = _as_int_array(indices, "indices").ravel()
+        bad = (idx < 0) | (idx >= self.vocab)
+        if bad.any():
+            raise IndexError(f"index {idx[bad][0]} outside vocabulary [0, {self.vocab})")
+        return idx
 
-    def _summed_upstream(self, rows, inverse, upstream):
-        """Each distinct row's summed upstream, given the batch's distinct
-        rows and where each index sits among them."""
+    def _summed_upstream(self, idx, upstream):
+        """The batch's distinct rows, sorted, and each row's summed upstream."""
         upstream = np.asarray(upstream, dtype=np.float64)
-        if upstream.shape != (inverse.size, self.dim):
+        if upstream.shape != (idx.size, self.dim):
             raise ShapeError(
-                f"upstream shape {upstream.shape} != ({inverse.size}, {self.dim})"
+                f"upstream shape {upstream.shape} != ({idx.size}, {self.dim})"
             )
+        rows, inverse = np.unique(idx, return_inverse=True)
         # sum the upstream of repeated rows: bin (row, column) pairs
         bins = (inverse[:, None] * self.dim + np.arange(self.dim)).ravel()
         summed = np.bincount(bins, upstream.ravel(), rows.size * self.dim)
-        return summed.reshape(rows.size, self.dim)
+        return rows, summed.reshape(rows.size, self.dim)
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -95,8 +83,6 @@ class TTEmbedding(_Layer):
                 f"vocab {self.vocab} exceeds padded capacity {weights.plan.padded_rows}"
             )
         self._tape = Tape()
-        # forward's batch: a copy of its checked indices, and their dedup
-        self._batch = (np.empty(0, dtype=np.int64),) * 3
 
     @property
     def dim(self) -> int:
@@ -111,23 +97,15 @@ class TTEmbedding(_Layer):
     def forward(self, indices) -> np.ndarray:
         idx = self._check_indices(indices)
         rows, inverse = np.unique(idx, return_inverse=True)
-        self._batch = idx.copy(), rows, inverse
         return self.weights.rows(rows, self._tape)[inverse]
 
     def backward(self, indices, upstream) -> list:
         """Gradients of sum_b <upstream[b], forward(indices)[b]>, one per core.
 
-        Given an index array equal to the last forward's, of the same
-        dtype, it takes that call's distinct rows and inverse, with no
-        second check or np.unique; any other indices are checked and
-        deduplicated again.  It starts from forward's tape when that served
-        the same distinct rows from cores of the values held now; otherwise
-        it recomputes, with the same bits."""
-        kept, rows, inverse = self._batch
-        given = np.ravel(indices)
-        if given.dtype != kept.dtype or not np.array_equal(given, kept):
-            rows, inverse = np.unique(self._check_indices(indices), return_inverse=True)
-        summed = self._summed_upstream(rows, inverse, upstream)
+        It starts from forward's tape when that served the same distinct
+        rows from cores of the values held now; otherwise it recomputes,
+        with the same bits."""
+        rows, summed = self._summed_upstream(self._check_indices(indices), upstream)
         return self.weights.row_grads(rows, summed, self._tape)
 
 
@@ -159,8 +137,7 @@ class LowRankEmbedding(_Layer):
 
     def backward(self, indices, upstream) -> list:
         """Gradients of sum_b <upstream[b], forward(indices)[b]>: [dU, dV]."""
-        rows, inverse = np.unique(self._check_indices(indices), return_inverse=True)
-        summed = self._summed_upstream(rows, inverse, upstream)
+        rows, summed = self._summed_upstream(self._check_indices(indices), upstream)
         du = np.zeros_like(self.u)
         du[rows] = summed @ self.v
         return [du, summed.T @ self.u[rows]]

@@ -56,11 +56,19 @@ def _positive_finite(value, what: str) -> None:
 
 def _as_int_array(values, what: str) -> np.ndarray:
     """values as an int64 array; floats or bools raise a TypeError naming
-    `what`, except in an empty sequence, which has no value to truncate."""
+    `what`, except in an empty sequence, which has no value to truncate.
+    Integers past int64, which numpy holds as uint64, as Python ints in an
+    object array or as floats, come back as an object array of Python
+    ints, for the caller's range check to name."""
     arr = np.asarray(values)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+    if not arr.size or arr.dtype.kind == "i":
+        return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind == "u" and arr.max() <= np.iinfo(np.int64).max:
+        return arr.astype(np.int64)
+    ints = np.array(values, dtype=object)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in ints.flat):
         raise TypeError(f"{what} of dtype {arr.dtype} are not integers")
-    return arr.astype(np.int64, copy=False)
+    return ints
 
 
 @dataclass(frozen=True)

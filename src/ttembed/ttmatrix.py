@@ -18,7 +18,7 @@ import numpy as np
 
 from .indexing import MixedRadix
 from .linalg import ShapeError, r_factor, svd
-from .planning import FactorizationPlan, _positive_finite
+from .planning import FactorizationPlan, _as_int_array, _positive_finite
 
 DEFAULT_MATERIALIZE_CAP = 1 << 24
 MATERIALIZE_CAP_ENV = "TTEMBED_MATERIALIZE_CAP"
@@ -78,6 +78,12 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
     elif first != 1 or last != 1:
         raise ShapeError(f"boundary ranks must be 1, got {first} and {last}")
 
+
+
+def _row_digits(factors, indices) -> tuple:
+    """The digits of an index array, flattened, one array per factor; an
+    integer past int64 reaches the range check as itself."""
+    return MixedRadix(factors).to_multi(_as_int_array(indices, "indices").ravel())
 
 class Tape:
     """The block a chain-kernel rows() call built last, and the workspace
@@ -282,7 +288,7 @@ class TTMatrix:
         if s:
             return half_rows(self, indices, s)
         c = self.ring_rank
-        digits = MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices))
+        digits = _row_digits(self.plan.row_factors, indices)
         b, mine = digits[0].size, tape is None
         tape, step = Tape() if mine else tape, self._block_rows()
         span = step if mine else max(b, 1)
@@ -335,14 +341,12 @@ class TTMatrix:
         in its core's order, and the next core gathers each of its runs
         from it in one copy that also undoes forward's transpose, so dnext
         is held one run at a time.  Each gradient is allocated once, as
-        zeros in its core's shape (R', I, J, R).  In cores 1..N-2 each
-        digit's GEMM writes its product straight into the slice [:, i].
-        The last core's GEMMs write their (c R', J) products into one
-        zeroed (I_N, c R', J) region of the workspace, which one transposed
-        add puts into the gradient, and core 0's (J, c, R) rows are
-        transposed and added on the way in; adding into zeros makes a -0.0
-        product land as 0.0.  Every other temporary comes from the tape's
-        workspace, and the tape's buffer is only read.
+        zeros in its core's shape (R', I, J, R), and each digit's product
+        goes straight into its slice [:, i]: in cores 1..N-2 the GEMM
+        writes it there, while the last core's (c R', J) product and core
+        0's (J, c, R) rows are transposed and added on the way in.  Every
+        other temporary comes from the tape's workspace, and the tape's
+        buffer is only read.
 
         It starts from the tape's block when the tape holds these indices
         and the cores' values now, as after rows(indices, tape) on the
@@ -363,7 +367,7 @@ class TTMatrix:
         mine = tape is None
         if mine or not tape.holds(indices, self.cores):
             tape = Tape() if mine else tape
-            self._fill(MixedRadix(self.plan.row_factors).to_multi(np.ravel(indices)), tape)
+            self._fill(_row_digits(self.plan.row_factors, indices), tape)
             if not mine:
                 tape.record(indices, self.cores)
         digits, prefixes = tape.block
@@ -376,12 +380,10 @@ class TTMatrix:
         # w[0] and w[1] take turns holding d and the sorted lhs it overwrites
         # (w[0] first a sorted upstream, the last one core 0's rows); wr
         # holds u, then one run of dnext at a time; wi the gather index
-        # wl holds the last core's products, (I_N, c R, J), one per digit
-        w0, w1, wr, wi, wl = tape.scratch(
+        w0, w1, wr, wi = tape.scratch(
             b * max([c * c, cols] + sizes), b * max(sizes[:-1] + sizes[:1], default=0),
             max([b * cols] + [longest * sizes[k] for k in mids]),
-            b * max((prefixes[k].shape[1] * self.cores[k].shape[2] for k in mids), default=0),
-            self.cores[-1].size)
+            b * max((prefixes[k].shape[1] * self.cores[k].shape[2] for k in mids), default=0))
         w, wi = (w0, w1), wi.view(np.int64)
         grads = [np.zeros(g.shape) for g in self.cores]
 
@@ -393,13 +395,11 @@ class TTMatrix:
         lhs = _take_rows(prefixes[-1].reshape(b, p, c * r), order, w0).reshape(-1, c * r)
         d = w0[: b * p * c * r].reshape(b, p, c * r)  # d prefix_{N-1}, overwrites lhs run by run
         rt = self.cores[-1].transpose(1, 2, 3, 0).reshape(-1, jn, c * r)  # (I_N, J_N, c R)
-        wl = wl.reshape(-1, c * r, jn)
-        wl.fill(0.0)
         for i, s, e in zip(vals, bounds, bounds[1:]):
-            np.matmul(lhs[s * p : e * p].T, u[s:e].reshape(-1, jn), out=wl[i])
+            x = lhs[s * p : e * p].T @ u[s:e].reshape(-1, jn)  # (c R, J)
+            grads[-1][:, i] += x.reshape(c, r, jn).transpose(1, 2, 0)
             if n > 1:
                 np.matmul(u[s:e].reshape(-1, jn), rt[i], out=d[s:e].reshape(-1, c * r))
-        grads[-1] += wl.reshape(-1, c, r, jn).transpose(2, 0, 3, 1)
         for k in mids:
             g = self.cores[k]
             a, _, jk, rk = g.shape
@@ -545,7 +545,7 @@ def half_rows(m: TTMatrix, indices, s: int) -> np.ndarray:
     row i is rtab[i_R] @ ltab[i_L], whose C-order (J_R, J_L) layout is the
     row's, j_1 fastest.  Rows are gathered and multiplied in blocks."""
     factors = m.plan.row_factors
-    digits = MixedRadix(factors).to_multi(np.ravel(indices))
+    digits = _row_digits(factors, indices)
     il = np.ravel_multi_index(digits[:s], factors[:s], order="F")
     ir = np.ravel_multi_index(digits[s:], factors[s:], order="F")
     ltab, rtab = half_tables(m, s)

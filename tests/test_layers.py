@@ -453,26 +453,6 @@ class TestTape:
         assert_bitwise(layer.backward(idx[:-1], upstream[:-1]),
                        fresh_grads(layer, idx[:-1], upstream[:-1]))
 
-    @pytest.mark.parametrize("other", ["values", "int32", "shorter", "float"])
-    def test_backward_of_other_indices_deduplicates_again(self, other, monkeypatch):
-        """backward takes forward's dedup only for an equal index array of
-        the same dtype; any other gets the bytes, or the error, of a fresh
-        layer's backward."""
-        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
-        layer, idx, upstream = tape_case(3)
-        given = {"values": (idx + 1) % layer.vocab, "int32": idx.astype(np.int32),
-                 "shorter": idx[:-1], "float": idx.astype(float)}[other]
-        upstream = upstream[: given.size]
-        layer.forward(idx)
-        uniques = count_calls(monkeypatch, np, "unique")
-        if other == "float":
-            with pytest.raises(TypeError, match="not integers"):
-                layer.backward(given, upstream)
-            return
-        got = layer.backward(given, upstream)
-        assert len(uniques) == 1
-        assert_bitwise(got, fresh_grads(layer, given, upstream))
-
     def test_forward_copies_the_indices(self, monkeypatch):
         monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
         layer, idx, upstream = tape_case(3)
@@ -621,15 +601,6 @@ class TestTapeTraffic:
         layer.backward(idx, upstream)
         assert len(decodes) == 1
         assert len(sweeps) == 1  # the taped batch is one block
-
-    @pytest.mark.parametrize("ring", [1, 3])
-    def test_step_deduplicates_once(self, ring, monkeypatch):
-        monkeypatch.setattr(ttmatrix, "half_split", lambda m, b: 0)
-        layer, idx, upstream = tape_case(ring)
-        uniques = count_calls(monkeypatch, np, "unique")
-        layer.forward(idx)
-        layer.backward(list(idx), upstream)  # equal values of the same dtype
-        assert len(uniques) == 1
 
     @pytest.mark.parametrize("ring", [1, 3])
     def test_repeated_step_reuses_the_buffer(self, ring, monkeypatch):

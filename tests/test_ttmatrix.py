@@ -145,6 +145,17 @@ class TestHalfKernel:
         with pytest.raises(TypeError, match="indices of dtype float64 are not integers"):
             half_rows(m, np.array([1.0, 2.0]), 1)
 
+    @pytest.mark.parametrize("big", [2**63, 2**64, 10**23, -(10**23)])
+    def test_an_index_past_int64_is_named(self, big):
+        m = random_tt(HALF_PLANS[0], 1.0, 35)
+        calls = [m.rows, lambda i: half_rows(m, i, 1),
+                 lambda i: m.row_grads(i, np.zeros((2, m.plan.cols)))]
+        for call in calls:
+            with pytest.raises(IndexError, match=rf"^index {big} out of range \[0, 6\)$"):
+                call([1, big])
+        with pytest.raises(IndexError, match=r"^index 9223372036854775808 out of range"):
+            m.rows(np.array([1, 2**63], dtype=np.uint64))
+
     def test_blocks_do_not_change_rows(self, monkeypatch):
         plan = HALF_PLANS[2]
         idx = np.random.default_rng(36).integers(plan.padded_rows, size=50)
