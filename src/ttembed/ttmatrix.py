@@ -79,11 +79,11 @@ def _validate_chain(cores, plan: FactorizationPlan, ring: bool) -> None:
         raise ShapeError(f"boundary ranks must be 1, got {first} and {last}")
 
 
-
 def _row_digits(factors, indices) -> tuple:
     """The digits of an index array, flattened, one array per factor; an
     integer past int64 reaches the range check as itself."""
     return MixedRadix(factors).to_multi(_as_int_array(indices, "indices").ravel())
+
 
 class Tape:
     """The block a chain-kernel rows() call built last, and the workspace
@@ -95,8 +95,8 @@ class Tape:
     the indices and core values the block was built for, which row_grads
     checks; a tape a call makes for itself keeps neither.  Forward's
     copies of the middle cores and the slices it gathers, and every
-    temporary of row_grads, come from `work`, in
-    regions whose lifetimes overlap, so backward only reads the buffer.
+    temporary of row_grads, come from `work`, in regions whose lifetimes
+    overlap, so backward only reads the buffer.
     Both arrays are carved by _carve: they grow to the largest block seen,
     and the core copies are made again only when the core shapes change,
     so blocks of a recurring size allocate nothing new."""
