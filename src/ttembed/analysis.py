@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import numerical_rank
+from .linalg import DEFAULT_RANK_TOL, numerical_rank
 from .planning import FactorizationPlan, _as_int, plan_embedding
 from .ttmatrix import CompressionStats, delta_identity_tt, glorot_tt, random_tt
 
@@ -63,7 +63,7 @@ def _rank_report(label, m, tol_factor) -> RankReport:
     )
 
 
-def check_full_rank(plan: FactorizationPlan, seeds, tol_factor: float = 1e-9):
+def check_full_rank(plan: FactorizationPlan, seeds, tol_factor: float = DEFAULT_RANK_TOL):
     """Rank reports for the deterministic delta-core witness plus one
     random initialization per seed.  The witness must always be full
     rank; random draws are full rank except on a measure-zero set."""

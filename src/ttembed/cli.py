@@ -27,7 +27,7 @@ import numpy as np
 from . import analysis, training
 from .fileformat import FileFormatError, load_dmat, load_tt, save_dmat, save_tt
 from .layers import TTEmbedding
-from .linalg import ShapeError
+from .linalg import DEFAULT_RANK_TOL, ShapeError
 from .planning import _positive_finite, factorize_balanced, plan_embedding
 from .ttmatrix import tt_svd
 
@@ -325,7 +325,7 @@ def _build_parser() -> _Parser:
     q = command("rankcheck", _cmd_rankcheck, "full-rank check of random initializations", shape)
     q.add_argument("--rank", type=int, required=True)
     q.add_argument("--seeds", type=int, default=10)
-    q.add_argument("--tol", type=float, default=1e-9)
+    q.add_argument("--tol", type=float, default=DEFAULT_RANK_TOL)
 
     q = command("initstats", _cmd_initstats, "initializer statistics over a rank ladder", shape)
     q.add_argument("--ranks", type=str, default="1,2,4,8,16")

@@ -39,12 +39,14 @@ PAD_SLACK = Fraction(1, 5)  # exact, so the padding window is exact at any size
 
 
 def _as_int(value, what: str) -> int:
-    """value as an int; a non-integral value (4.5, 4.0, "4") raises a
-    TypeError naming `what` instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{what} {value!r} is not an integer") from None
+    """value as an int; a non-integral value (4.5, 4.0, "4") or a bool
+    raises a TypeError naming `what` instead of being truncated."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} {value!r} is not an integer")
 
 
 def _positive_finite(value, what: str) -> None:

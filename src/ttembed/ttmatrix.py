@@ -517,23 +517,27 @@ def half_split(m: TTMatrix, b: int) -> int:
     return best
 
 
+def _merge(a, b) -> np.ndarray:
+    """Adjacent cores a (R, I_a, J_a, R') and b (R', I_b, J_b, R'') as one
+    core (R, I_b * I_a, J_b * J_a, R''): one GEMM and a transpose that
+    keeps a's digits fastest."""
+    r, ia, ja, rb = a.shape
+    _, ib, jb, rn = b.shape
+    ab = (a.reshape(-1, rb) @ b.reshape(rb, -1)).reshape(r, ia, ja, ib, jb, rn)
+    return ab.transpose(0, 3, 1, 4, 2, 5).reshape(r, ib * ia, jb * ja, rn)
+
+
 def half_tables(m: TTMatrix, s: int) -> tuple:
     """The products of cores 1..s and s+1..N over all digit combinations
     of each half: ltab (I_L, c * R_s, J_L) and rtab (I_R, J_R, c * R_s),
-    with I_L = I_1..I_s and so on.  Each core costs one GEMM and a
-    transpose that keeps the half's first digit fastest."""
-    left = m.cores[0]  # (c, I_L, J_L, R_k)
+    with I_L = I_1..I_s and so on.  Each half takes one merge step per
+    core, from its own end: the left folds cores 1..s left to right, the
+    right folds cores N..s+1 right to left."""
+    left, right = m.cores[0], m.cores[-1]  # (c, I_L, J_L, R_s), (R_s, I_R, J_R, c)
     for g in m.cores[1:s]:
-        a, il, jl, r = left.shape
-        _, ik, jk, rn = g.shape
-        nxt = (left.reshape(-1, r) @ g.reshape(r, -1)).reshape(a, il, jl, ik, jk, rn)
-        left = nxt.transpose(0, 3, 1, 4, 2, 5).reshape(a, ik * il, jk * jl, rn)
-    right = m.cores[-1]  # (R_k, I_R, J_R, c)
+        left = _merge(left, g)
     for g in reversed(m.cores[s:-1]):
-        r, ik, jk, rn = g.shape
-        _, ir, jr, a = right.shape
-        nxt = (g.reshape(-1, rn) @ right.reshape(rn, -1)).reshape(r, ik, jk, ir, jr, a)
-        right = nxt.transpose(0, 3, 1, 4, 2, 5).reshape(r, ir * ik, jr * jk, a)
+        right = _merge(g, right)
     a, il, jl, r = left.shape
     ltab = left.transpose(1, 0, 3, 2).reshape(il, a * r, jl)
     rtab = right.transpose(1, 2, 3, 0).reshape(right.shape[1], right.shape[2], a * r)
@@ -653,8 +657,7 @@ def tt_svd(dense: np.ndarray, plan: FactorizationPlan) -> TTMatrix:
         else:
             mat = rest.reshape((rows, cols), order="F")
             res = svd(mat)
-        smax = res.singular_values[0] if res.singular_values.size else 0.0
-        thresh = TT_SVD_TRUNCATION_TOL * smax * max(mat.shape)
+        thresh = TT_SVD_TRUNCATION_TOL * res.singular_values[0] * max(mat.shape)
         nrank = int(np.count_nonzero(res.singular_values > thresh))
         # a zero unfolding keeps the chain alive with a zero rank-1 core
         u = res.u[:, : min(plan.ranks[k], nrank)] if nrank else np.zeros((rows, 1))

@@ -241,10 +241,13 @@ def test_plan_rejects_non_integral_rank(rank):
     ("n", lambda: plan_embedding(25000, 256, 3.2, 16)),
     ("vocab", lambda: TTEmbedding(
         random_tt(FactorizationPlan((3, 3), (2, 2), 9, (2,)), 1.0, 0), vocab=7.9)),
+    ("vocab", lambda: TTEmbedding(
+        random_tt(FactorizationPlan((3, 3), (2, 2), 9, (2,)), 1.0, 0), vocab=True)),
+    ("row_factors", lambda: FactorizationPlan((True, 4), (2, 2), 4, (2,))),
 ], ids=[
     "plan-row_factors", "plan-col_factors", "plan-requested_rows", "plan-ranks",
     "factorize-size", "factorize-n", "embedding-vocab", "embedding-dim",
-    "embedding-n", "layer-vocab",
+    "embedding-n", "layer-vocab", "layer-vocab-bool", "plan-row_factors-bool",
 ])
 def test_non_integral_input_raises_naming_the_field(field, build):
     with pytest.raises(TypeError, match=f"^{field} .* is not an integer"):
@@ -264,10 +267,13 @@ _SMALL = FactorizationPlan((3, 3), (2, 2), 9, (2,))
     ("index", lambda: random_tt(_SMALL, 1.0, 0).element(1.9, 0)),
     ("rank", lambda: compression_table(512, 512, 3, [2.5])),
     ("rank", lambda: init_statistics(_SMALL, [2.5], 1)),
+    ("index", lambda: MixedRadix((2, 3)).to_multi(True)),
+    ("index", lambda: random_tt(_SMALL, 1.0, 0).element(True, 0)),
 ], ids=[
     "layer-forward", "matrix-rows", "radix-factors", "radix-to_multi",
     "radix-to_multi-array", "radix-from_multi", "matrix-element",
-    "compression_table", "init_statistics",
+    "compression_table", "init_statistics", "radix-to_multi-bool",
+    "matrix-element-bool",
 ])
 def test_non_integer_index_or_rank_raises_naming_it(name, call):
     with pytest.raises(TypeError, match=f"^{name} .* integer"):

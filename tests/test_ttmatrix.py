@@ -428,14 +428,17 @@ def reference_prefixes(self, digits, tape):
     return out
 
 
-@pytest.mark.parametrize("ring", [1, 3])
-@pytest.mark.parametrize("plan", [
+PREFIX_PLANS = [
     FactorizationPlan((3, 4), (2, 3), 12, (3,)),
     RULE_PLAN,
     FactorizationPlan((3, 4, 2), (2, 3, 4), 24, (3, 1)),  # a rank-1 bond after a middle core
     FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (2, 3, 2)),
     FactorizationPlan((2, 3, 2, 3), (3, 2, 2, 2), 36, (3, 1, 2)),
-], ids=["n2", "n3", "n3-rank1", "n4", "n4-rank1"])
+]
+
+
+@pytest.mark.parametrize("ring", [1, 3])
+@pytest.mark.parametrize("plan", PREFIX_PLANS, ids=["n2", "n3", "n3-rank1", "n4", "n4-rank1"])
 @pytest.mark.parametrize("order", ["sorted", "unsorted", "repeated"])
 def test_chain_kernel_matches_the_reference_prefixes(plan, ring, order, monkeypatch):
     """rows and row_grads, with and without a tape and in several blocks,
@@ -524,6 +527,51 @@ class TestOracleEquivalence:
             i = int(rng.integers(plan.padded_rows))
             j = int(rng.integers(plan.cols))
             assert abs(m.element(i, j) - dense[i, j]) <= 1e-12 * scale
+
+
+def reference_half_tables(m, s):
+    """half_tables as it was before the merge step: a left-to-right loop
+    and a mirrored right-to-left loop, each with its own GEMM and
+    interleaving transpose."""
+    left = m.cores[0]  # (c, I_L, J_L, R_k)
+    for g in m.cores[1:s]:
+        a, il, jl, r = left.shape
+        _, ik, jk, rn = g.shape
+        nxt = (left.reshape(-1, r) @ g.reshape(r, -1)).reshape(a, il, jl, ik, jk, rn)
+        left = nxt.transpose(0, 3, 1, 4, 2, 5).reshape(a, ik * il, jk * jl, rn)
+    right = m.cores[-1]  # (R_k, I_R, J_R, c)
+    for g in reversed(m.cores[s:-1]):
+        r, ik, jk, rn = g.shape
+        _, ir, jr, a = right.shape
+        nxt = (g.reshape(-1, rn) @ right.reshape(rn, -1)).reshape(r, ik, jk, ir, jr, a)
+        right = nxt.transpose(0, 3, 1, 4, 2, 5).reshape(r, ir * ik, jr * jk, a)
+    a, il, jl, r = left.shape
+    ltab = left.transpose(1, 0, 3, 2).reshape(il, a * r, jl)
+    rtab = right.transpose(1, 2, 3, 0).reshape(right.shape[1], right.shape[2], a * r)
+    return ltab, rtab
+
+
+MERGE_MODELS = {
+    "lookup": lambda: glorot_tt(plan_embedding(100000, 64, 4, 8), seed=0),
+    "train-uniform": lambda: glorot_tt(plan_embedding(25000, 256, 3, 16), seed=0),
+    "train-ring": lambda: random_tr(plan_embedding(512, 512, 3, 16), 4, 0.1, 0),
+    "compress": lambda: random_tt(plan_embedding(512, 512, 3, 16), 1.0, 0),
+} | {
+    f"{name}-ring{ring}": (lambda plan=plan, ring=ring: random_tt(plan, 0.9, 48)
+                           if ring == 1 else random_tr(plan, ring, 0.9, 48))
+    for name, plan in zip(["n2", "n3", "n3-rank1", "n4", "n4-rank1"], PREFIX_PLANS)
+    for ring in (1, 3)
+}
+
+
+@pytest.mark.parametrize("name", MERGE_MODELS)
+def test_half_tables_match_the_reference_on_every_split(name):
+    """The merge step builds the tables the two loops built, byte for
+    byte: on the bench models and the chain kernel's reference plans."""
+    m = MERGE_MODELS[name]()
+    for s in range(1, m.plan.n_cores):
+        got, want = half_tables(m, s), reference_half_tables(m, s)
+        assert [t.shape for t in got] == [t.shape for t in want] and same_bits(got, want)
 
 
 class TestTTSvd:
